@@ -1,14 +1,13 @@
-//! Benchmarks the tensor runtime: the three matmul kernels (naive oracle,
-//! cache-blocked, register-tiled microkernel), the microkernel with its
-//! SIMD dispatch forced to each side, composed naive ops with
-//! buffer pooling disabled vs. the fused matmul+bias+activation and softmax
-//! kernels backed by the thread-local pool, the streaming fused backward
+//! Benchmarks the tensor runtime: the two matmul kernels (naive oracle,
+//! register-tiled microkernel), the microkernel with its SIMD dispatch
+//! forced to each side, composed naive ops vs. the fused
+//! matmul+bias+activation and softmax kernels, the streaming fused backward
 //! epilogue vs. the composed backward chain, plus one full MoE training
 //! step on both paths.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ftsim_tensor::nn::{AdamW, ExpertKind, Linear, MoeLayer};
-use ftsim_tensor::{autograd, ops, parallel, pool, Activation, Tensor, Var};
+use ftsim_tensor::{ops, parallel, Activation, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -17,9 +16,9 @@ const M: usize = 256;
 const K: usize = 64;
 const N: usize = 256;
 
-/// Serial apples-to-apples comparison of the three kernels on identical
-/// buffers: the naive i-j-p oracle, the previous cache-blocked kernel, and
-/// the register-tiled microkernel now behind `Tensor::matmul`.
+/// Serial apples-to-apples comparison of the two kernels on identical
+/// buffers: the naive i-p-j oracle and the register-tiled microkernel
+/// behind `Tensor::matmul`.
 fn matmul_kernels(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(23);
     let lhs = Tensor::rand_normal([M, K], 1.0, &mut rng);
@@ -28,12 +27,6 @@ fn matmul_kernels(c: &mut Criterion) {
     c.bench_function("tensor/matmul_naive", |bch| {
         bch.iter(|| {
             parallel::matmul_naive_into(lhs.data(), rhs.data(), &mut out, M, K, N);
-            black_box(out[0])
-        })
-    });
-    c.bench_function("tensor/matmul_blocked", |bch| {
-        bch.iter(|| {
-            parallel::matmul_blocked_into(lhs.data(), rhs.data(), &mut out, M, K, N);
             black_box(out[0])
         })
     });
@@ -77,8 +70,6 @@ fn linear_backward(c: &mut Criterion) {
     let xt = Tensor::rand_normal([64, 32], 1.0, &mut rng);
     let wt = Tensor::rand_normal([32, 64], 0.5, &mut rng);
     let bt = Tensor::rand_normal([1, 64], 0.5, &mut rng);
-    pool::set_enabled(true);
-    autograd::set_arena_enabled(true);
     c.bench_function("tensor/linear_backward_fused", |bch| {
         bch.iter(|| {
             let (x, w, b) = (
@@ -112,8 +103,6 @@ fn linear_backward(c: &mut Criterion) {
             black_box(loss.value().item())
         })
     });
-    pool::clear();
-    autograd::arena_clear();
 }
 
 fn kernel_inputs() -> (Tensor, Tensor, Tensor, Tensor) {
@@ -129,8 +118,7 @@ fn kernel_inputs() -> (Tensor, Tensor, Tensor, Tensor) {
 fn kernels(c: &mut Criterion) {
     let (x, w, b, logits) = kernel_inputs();
 
-    pool::set_enabled(false);
-    c.bench_function("tensor/linear_naive_unpooled", |bch| {
+    c.bench_function("tensor/linear_naive", |bch| {
         bch.iter(|| {
             let y = x.matmul(&w).expect("conforming shapes");
             let mut biased = Tensor::zeros(y.shape().clone());
@@ -142,20 +130,18 @@ fn kernels(c: &mut Criterion) {
             black_box(biased.map(|v| Activation::Silu.apply(v)))
         })
     });
-    c.bench_function("tensor/softmax_naive_unpooled", |bch| {
+    c.bench_function("tensor/softmax_naive", |bch| {
         bch.iter(|| black_box(ops::softmax_rows_naive(&logits).expect("matrix")))
     });
 
-    pool::set_enabled(true);
-    c.bench_function("tensor/linear_fused_pooled", |bch| {
+    c.bench_function("tensor/linear_fused", |bch| {
         bch.iter(|| {
             black_box(ops::matmul_bias_act(&x, &w, Some(&b), Activation::Silu).expect("shapes"))
         })
     });
-    c.bench_function("tensor/softmax_fused_pooled", |bch| {
+    c.bench_function("tensor/softmax_fused", |bch| {
         bch.iter(|| black_box(ops::softmax_rows(&logits).expect("matrix")))
     });
-    pool::clear();
 }
 
 struct TrainFixture {
@@ -205,20 +191,14 @@ fn train_step(f: &mut TrainFixture, fused: bool) -> f32 {
 }
 
 fn train_steps(c: &mut Criterion) {
-    pool::set_enabled(false);
     let mut naive = fixture();
-    c.bench_function("tensor/train_step_naive_unpooled", |bch| {
+    c.bench_function("tensor/train_step_naive", |bch| {
         bch.iter(|| black_box(train_step(&mut naive, false)))
     });
-    drop(naive);
-
-    pool::set_enabled(true);
     let mut fused = fixture();
-    c.bench_function("tensor/train_step_fused_pooled", |bch| {
+    c.bench_function("tensor/train_step_fused", |bch| {
         bch.iter(|| black_box(train_step(&mut fused, true)))
     });
-    drop(fused);
-    pool::clear();
 }
 
 criterion_group! {

@@ -69,23 +69,13 @@ where
     let slots: Vec<Mutex<Option<U>>> = items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| {
-                // Workers are short-lived (one scope per call), so without a
-                // hand-off their thread-local buffer pools would die with
-                // them and every call would re-pay warm-up allocations.
-                // Adopting/donating via the global stash lets each worker
-                // generation inherit the previous one's warm shelves; it
-                // never changes results, only where buffers come from.
-                ftsim_tensor::pool::stash_adopt();
-                loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    if index >= items.len() {
-                        break;
-                    }
-                    let output = f(&items[index]);
-                    *slots[index].lock().expect("result slot poisoned") = Some(output);
+            scope.spawn(|| loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                if index >= items.len() {
+                    break;
                 }
-                ftsim_tensor::pool::stash_donate();
+                let output = f(&items[index]);
+                *slots[index].lock().expect("result slot poisoned") = Some(output);
             });
         }
     });
@@ -151,46 +141,6 @@ mod tests {
             sim.simulate_step(b, 128).total_seconds().to_bits()
         });
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn workers_adopt_stashed_warm_shelves() {
-        use ftsim_tensor::pool;
-        // A bucket size the simulator never uses, so reuses of it can only
-        // come from the donations seeded below.
-        const LEN: usize = (1 << 18) + 5;
-        // Leave room in the global stash, then seed it with warm shelves
-        // from short-lived donor threads (4 buffers each).
-        while pool::stash_len() > 8 {
-            pool::stash_adopt();
-        }
-        for _ in 0..8 {
-            std::thread::spawn(|| {
-                for _ in 0..4 {
-                    pool::give(pool::take_zeroed(LEN));
-                }
-                pool::stash_donate();
-            })
-            .join()
-            .unwrap();
-        }
-        // Each item takes (and drops, rather than gives) one such buffer:
-        // a reuse can only be served by an adopted donation, never by the
-        // worker's own give-backs.
-        let items = [(); 8];
-        let reuses: u64 = parallel_map_with(4, &items, |_| {
-            let before = pool::stats().reuses;
-            let v = pool::take_zeroed(LEN);
-            let delta = pool::stats().reuses - before;
-            drop(v);
-            delta
-        })
-        .into_iter()
-        .sum();
-        assert!(
-            reuses >= 1,
-            "no worker drew from the stashed shelves (adopt hook not wired?)"
-        );
     }
 
     #[test]

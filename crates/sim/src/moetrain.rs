@@ -227,10 +227,7 @@ impl Classifier {
 }
 
 /// Trains the classifier on `task` and measures everything the paper's
-/// Fig. 3 / Fig. 11 report. Uses the fused kernel path, which is
-/// zero-allocation in steady state: tensor storage recycles through the
-/// capacity-bucketed buffer pool and autograd graph nodes through the node
-/// arena.
+/// Fig. 3 / Fig. 11 report. Uses the fused kernel path.
 pub fn train(
     task: &SyntheticTask,
     cfg: &MoeTrainConfig,

@@ -17,11 +17,11 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 thread_local! {
     /// Recycled kernel-record storage for the sweep hot path. One pool per
-    /// thread (like the tensor runtime's buffer pool): recycling stays
-    /// uncontended and the allocation counters are deterministic for the
-    /// thread doing the sweeping. [`StepTrace`] returns sole-owned segment
-    /// buffers here on drop, so steady-state `simulate_step` calls —
-    /// identical shapes, step after step — allocate no record storage.
+    /// thread: recycling stays uncontended and the allocation counters are
+    /// deterministic for the thread doing the sweeping. [`StepTrace`]
+    /// returns sole-owned segment buffers here on drop, so steady-state
+    /// `simulate_step` calls — identical shapes, step after step — allocate
+    /// no record storage.
     static RECORD_POOL: Pool<KernelRecord> = Pool::with_label("sim.record_pool");
 }
 

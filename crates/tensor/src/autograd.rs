@@ -24,85 +24,29 @@ struct Node {
     backward: Option<BackwardFn>,
 }
 
-/// Maximum reclaimed graph nodes kept per thread; beyond this, dead nodes
-/// are simply freed. Sized well above the node count of one bench-scale MoE
-/// training step so a whole step's graph recycles.
-const ARENA_CAP: usize = 4096;
-
-/// Snapshot of the node-arena event counters (see [`arena_stats`]).
-///
-/// The arena is to graph *nodes* what [`crate::pool`] is to tensor
-/// *storage*: with it enabled (the default), a steady-state training step
-/// performs zero `Rc<RefCell<Node>>` heap allocations — every node handle
-/// is popped from the free list refilled when the previous step's graph was
-/// dropped.
+/// Snapshot of the graph-node counter (see [`arena_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ArenaStats {
-    /// Nodes created with a fresh heap allocation (arena misses).
+    /// Graph nodes created on this thread, each a fresh `Rc` allocation.
     pub fresh_allocs: u64,
-    /// Nodes served from the arena free list (arena hits).
-    pub reuses: u64,
-    /// Dead nodes reclaimed onto the free list.
-    pub returns: u64,
-    /// Dead nodes dropped because the free list was full.
-    pub discards: u64,
 }
 
 impl ArenaStats {
-    /// Fresh node allocations that happened between `earlier` and `self`.
+    /// Nodes created between `earlier` and `self`.
     pub fn allocs_since(&self, earlier: &ArenaStats) -> u64 {
         self.fresh_allocs - earlier.fresh_allocs
     }
 }
 
 thread_local! {
-    /// Free list of dead graph nodes awaiting reuse.
-    static NODE_ARENA: RefCell<Vec<Rc<RefCell<Node>>>> = const { RefCell::new(Vec::new()) };
-    static ARENA_ENABLED: Cell<bool> = const { Cell::new(true) };
-    static ARENA_COUNTS: Cell<ArenaStats> = const { Cell::new(ArenaStats {
-        fresh_allocs: 0,
-        reuses: 0,
-        returns: 0,
-        discards: 0,
-    }) };
+    static NODES_CREATED: Cell<u64> = const { Cell::new(0) };
 }
 
-fn arena_bump(f: impl FnOnce(&mut ArenaStats)) {
-    let _ = ARENA_COUNTS.try_with(|c| {
-        let mut s = c.get();
-        f(&mut s);
-        c.set(s);
-    });
-}
-
-/// Enables or disables the node arena on the current thread. While
-/// disabled, every graph node is a fresh `Rc` allocation and dead nodes are
-/// freed instead of reclaimed — the configuration used as the
-/// "serial-naive" baseline in `repro bench_tensor`. Disabling does not
-/// drop already-reclaimed nodes; call [`arena_clear`] for that.
-pub fn set_arena_enabled(enabled: bool) {
-    let _ = ARENA_ENABLED.try_with(|e| e.set(enabled));
-}
-
-/// Whether the node arena is enabled on the current thread.
-pub fn arena_enabled() -> bool {
-    ARENA_ENABLED.try_with(Cell::get).unwrap_or(false)
-}
-
-/// Counter snapshot for the current thread's node arena.
+/// Counter snapshot of the graph nodes the current thread has created.
 pub fn arena_stats() -> ArenaStats {
-    ARENA_COUNTS.try_with(Cell::get).unwrap_or_default()
-}
-
-/// Drops every node held by the current thread's arena free list
-/// (counters are preserved).
-pub fn arena_clear() {
-    let _ = NODE_ARENA.try_with(|a| a.borrow_mut().clear());
-}
-
-/// Number of dead nodes currently held by the arena free list.
-pub fn arena_resident() -> usize {
-    NODE_ARENA.try_with(|a| a.borrow().len()).unwrap_or(0)
+    ArenaStats {
+        fresh_allocs: NODES_CREATED.try_with(Cell::get).unwrap_or(0),
+    }
 }
 
 /// A differentiable tensor variable.
@@ -132,59 +76,9 @@ impl std::fmt::Debug for Var {
     }
 }
 
-impl Drop for Var {
-    /// Arena reclamation hook: when the *last* handle to a node drops, the
-    /// node's gradient goes back to the buffer pool, its parent edges and
-    /// closure drop — which may recursively reclaim ancestors — and the
-    /// now-inert `Rc<RefCell<Node>>` is parked on the thread-local free
-    /// list for `Var::from_node` to reuse. The value tensor stays in
-    /// place (swapping in a placeholder would itself allocate a shape);
-    /// it is released to the pool when the parked node is overwritten at
-    /// reuse time, one step later in steady state.
-    fn drop(&mut self) {
-        if Rc::strong_count(&self.node) != 1 || !arena_enabled() {
-            return;
-        }
-        // A node being overwritten for reuse holds its borrow while its old
-        // contents drop; those contents have no edges, but stay defensive:
-        // never reclaim through an active borrow.
-        let Ok(mut n) = self.node.try_borrow_mut() else {
-            return;
-        };
-        let parents = std::mem::take(&mut n.parents);
-        let backward = n.backward.take();
-        n.grad = None;
-        n.requires_grad = false;
-        drop(n);
-        // Dropping the edges may cascade into further reclamations; the
-        // borrow above is released first so those run against other nodes.
-        drop(parents);
-        drop(backward);
-        let _ = NODE_ARENA.try_with(|a| {
-            let mut arena = a.borrow_mut();
-            if arena.len() < ARENA_CAP {
-                arena.push(Rc::clone(&self.node));
-                drop(arena);
-                arena_bump(|s| s.returns += 1);
-            } else {
-                drop(arena);
-                arena_bump(|s| s.discards += 1);
-            }
-        });
-    }
-}
-
 impl Var {
     fn from_node(node: Node) -> Var {
-        if arena_enabled() {
-            let reused = NODE_ARENA.try_with(|a| a.borrow_mut().pop()).ok().flatten();
-            if let Some(rc) = reused {
-                arena_bump(|s| s.reuses += 1);
-                *rc.borrow_mut() = node;
-                return Var { node: rc };
-            }
-        }
-        arena_bump(|s| s.fresh_allocs += 1);
+        let _ = NODES_CREATED.try_with(|c| c.set(c.get() + 1));
         Var {
             node: Rc::new(RefCell::new(node)),
         }
@@ -332,7 +226,7 @@ impl Var {
 
     /// [`Var::accumulate_grad`] taking ownership: the first accumulation
     /// stores `g` directly instead of cloning it. Bit-identical (a clone is
-    /// a bitwise copy) with one fewer pool round-trip.
+    /// a bitwise copy) with one fewer buffer copy.
     fn accumulate_grad_owned(&self, g: Tensor) {
         let mut n = self.node.borrow_mut();
         if !n.requires_grad {
@@ -862,7 +756,7 @@ fn linear_act_backward_streaming(
             let mut dw = w2
                 .requires_grad()
                 .then(|| Tensor::zeros(Shape::matrix(k, n)));
-            let mut scratch = crate::pool::take_shaped_zeroed(&[n]);
+            let mut scratch = vec![0.0; n];
             crate::parallel::linear_act_backward_into(
                 up.data(),
                 pre.map(Tensor::data),
@@ -877,7 +771,6 @@ fn linear_act_backward_streaming(
                 k,
                 n,
             );
-            crate::pool::give_shaped(&[n], scratch);
             (db, dx, dw)
         })
     });
@@ -957,9 +850,8 @@ thread_local! {
 /// every call. A `Tape` keeps those collections between calls — cleared but
 /// with their capacity intact — so the traversal of step *N* runs entirely
 /// in the workspace warmed by step *N − 1*. Recorded `Var` handles are
-/// released at the end of each pass (their node storage returns to the
-/// buffer pool when the caller drops the graph); only the empty collections
-/// persist.
+/// released at the end of each pass (the graph is freed when the caller
+/// drops it); only the empty collections persist.
 #[derive(Default)]
 pub struct Tape {
     order: Vec<Var>,
@@ -1330,84 +1222,6 @@ mod tests {
         assert!(w.grad().is_some());
         w.zero_grad();
         assert!(w.grad().is_none());
-    }
-
-    #[test]
-    fn arena_recycles_graph_nodes_across_steps() {
-        set_arena_enabled(true);
-        let w = Var::parameter(Tensor::from_rows(&[&[1.0, -2.0]]).unwrap());
-        // Warm-up step fills the free list with this graph's node count.
-        {
-            let loss = w.mul(&w).unwrap().mean();
-            loss.backward();
-            w.zero_grad();
-        }
-        let before = arena_stats();
-        for _ in 0..3 {
-            let loss = w.mul(&w).unwrap().mean();
-            loss.backward();
-            w.zero_grad();
-        }
-        let after = arena_stats();
-        assert_eq!(
-            after.allocs_since(&before),
-            0,
-            "steady-state steps must pop every node from the arena"
-        );
-        assert!(after.reuses > before.reuses, "expected arena hits");
-        assert!(after.returns > before.returns, "expected reclamations");
-    }
-
-    #[test]
-    fn arena_disabled_allocates_and_frees_nodes() {
-        set_arena_enabled(false);
-        let before = arena_stats();
-        let w = Var::parameter(Tensor::scalar(2.0));
-        {
-            let loss = w.mul(&w).unwrap().mean();
-            loss.backward();
-        }
-        let after = arena_stats();
-        set_arena_enabled(true);
-        assert_eq!(
-            after.returns, before.returns,
-            "no reclamation while disabled"
-        );
-        assert!(
-            after.fresh_allocs >= before.fresh_allocs + 3,
-            "parameter, mul and mean nodes must allocate fresh"
-        );
-    }
-
-    #[test]
-    fn arena_reuse_does_not_change_training_results() {
-        let run = |arena: bool| {
-            set_arena_enabled(arena);
-            let w = Var::parameter(Tensor::from_rows(&[&[0.8, -0.3], &[0.1, 0.6]]).unwrap());
-            let x = Var::constant(Tensor::from_rows(&[&[1.0, 2.0], &[-0.5, 0.25]]).unwrap());
-            let mut losses = Vec::new();
-            for _ in 0..4 {
-                let loss = x.matmul(&w).unwrap().gelu().mean();
-                loss.backward();
-                losses.push(loss.value().item());
-                w.update_with_grad(|v, g| {
-                    for (vi, gi) in v.data_mut().iter_mut().zip(g.data()) {
-                        *vi -= 0.1 * gi;
-                    }
-                });
-            }
-            set_arena_enabled(true);
-            (losses, w.value())
-        };
-        let (l_on, w_on) = run(true);
-        let (l_off, w_off) = run(false);
-        assert!(
-            l_on.iter()
-                .zip(&l_off)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "losses must be bit-identical with and without the arena"
-        );
-        assert_eq!(w_on, w_off, "trained weights must match");
     }
 
     proptest! {

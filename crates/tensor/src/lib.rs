@@ -38,7 +38,7 @@ pub mod tensor;
 
 pub use autograd::Var;
 pub use ops::Activation;
-pub use pool::{BufferPool, PoolStats};
+pub use pool::PoolStats;
 pub use quant::{QuantError, Quantized4Bit};
 pub use shape::Shape;
 pub use tensor::{Tensor, TensorError};

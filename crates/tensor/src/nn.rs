@@ -740,13 +740,12 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_training_steps_allocate_nothing() {
-        // After the warm-up step, every tensor a step needs comes back out
-        // of the buffer pool — the zero-allocation property bench_tensor
-        // reports. Thread-local pools make this counter deterministic.
+    fn steady_state_steps_report_identical_allocation_counts() {
+        // Tensor buffers and graph nodes are plain allocations, counted per
+        // thread. Dense routing (top_k == num_experts) keeps every step's op
+        // structure identical, so two steady-state steps must report the
+        // same exact, nonzero deltas.
         let mut rng = StdRng::seed_from_u64(41);
-        // Dense routing (top_k == num_experts) keeps the per-step op
-        // structure exactly identical, making the counter airtight.
         let moe = MoeLayer::new(ExpertKind::SwiGlu, 4, 8, 4, 4, &mut rng).unwrap();
         let head = Linear::new(4, 3, &mut rng);
         let x = Tensor::rand_uniform([16, 4], 1.0, &mut rng);
@@ -754,99 +753,25 @@ mod tests {
         let mut params = moe.parameters();
         params.extend(head.parameters());
         let mut opt = AdamW::new(0.02, params.len());
-        let mut step = |expect_zero: bool, tag: &str| {
-            let before = crate::pool::stats();
-            let nodes_before = crate::autograd::arena_stats();
+        let mut step = || {
+            let before = (crate::pool::stats(), crate::autograd::arena_stats());
             let xv = Var::constant(x.clone());
             let (h, _) = moe.forward(&xv).unwrap();
             let loss = head.forward(&h).unwrap().cross_entropy(&labels).unwrap();
             loss.backward();
             opt.step(&params);
-            drop(loss);
-            drop(h);
-            drop(xv);
-            let fresh = crate::pool::stats().allocs_since(&before);
-            let fresh_nodes = crate::autograd::arena_stats().allocs_since(&nodes_before);
-            if expect_zero {
-                assert_eq!(fresh, 0, "{tag}: {fresh} fresh allocations in steady state");
-                assert_eq!(
-                    fresh_nodes, 0,
-                    "{tag}: {fresh_nodes} fresh graph nodes in steady state"
-                );
-            }
+            (
+                crate::pool::stats().allocs_since(&before.0),
+                crate::autograd::arena_stats().allocs_since(&before.1),
+            )
         };
-        // Two warm-up steps: the first populates the pool shelves, the
-        // second settles the arena's one-step-deferred value release
-        // (a reclaimed node keeps its value tensor until it is reused).
-        step(false, "warmup");
-        step(false, "warmup 2");
-        for i in 0..3 {
-            step(true, &format!("steady step {i}"));
-        }
-    }
-
-    #[test]
-    fn steady_state_sparse_training_steps_allocate_nothing() {
-        // The sparse analogue of the dense steady-state test above, enabled
-        // by the pool's power-of-two capacity buckets: with top-2 routing
-        // the set of active experts varies step to step, and the batch size
-        // alternates between 15 and 16 rows so tensor lengths change too.
-        // Exact-capacity shelving missed on every size flip; same-bucket
-        // buffers are fungible, so after warm-up covers both batch shapes
-        // and the peak expert count, steps stay allocation-free.
-        let mut rng = StdRng::seed_from_u64(43);
-        let moe = MoeLayer::new(ExpertKind::SwiGlu, 4, 8, 4, 2, &mut rng).unwrap();
-        let head = Linear::new(4, 3, &mut rng);
-        let batches: Vec<(Tensor, Vec<usize>)> = [15usize, 16]
-            .iter()
-            .map(|&rows| {
-                (
-                    Tensor::rand_uniform([rows, 4], 1.0, &mut rng),
-                    (0..rows).map(|i| i % 3).collect(),
-                )
-            })
-            .collect();
-        let mut params = moe.parameters();
-        params.extend(head.parameters());
-        let mut opt = AdamW::new(0.02, params.len());
-        let mut step = |batch: &(Tensor, Vec<usize>), expect_zero: bool, tag: &str| {
-            let before = crate::pool::stats();
-            let nodes_before = crate::autograd::arena_stats();
-            let xv = Var::constant(batch.0.clone());
-            let (h, stats) = moe.forward(&xv).unwrap();
-            assert_eq!(
-                stats.tokens_per_expert.iter().sum::<usize>(),
-                batch.1.len() * 2,
-                "top-2 routing must stay sparse"
-            );
-            let loss = head.forward(&h).unwrap().cross_entropy(&batch.1).unwrap();
-            loss.backward();
-            opt.step(&params);
-            drop(loss);
-            drop(h);
-            drop(xv);
-            let fresh = crate::pool::stats().allocs_since(&before);
-            let fresh_nodes = crate::autograd::arena_stats().allocs_since(&nodes_before);
-            if expect_zero {
-                assert_eq!(fresh, 0, "{tag}: {fresh} fresh allocations in steady state");
-                assert_eq!(
-                    fresh_nodes, 0,
-                    "{tag}: {fresh_nodes} fresh graph nodes in steady state"
-                );
-            }
-        };
-        // Warm-up must cycle through every batch shape (and settle the
-        // arena's one-step-deferred value release) before the counters are
-        // armed; two full cycles cover both.
-        for cycle in 0..2 {
-            for batch in &batches {
-                step(batch, false, &format!("warmup cycle {cycle}"));
-            }
-        }
-        for i in 0..4 {
-            let batch = &batches[i % batches.len()];
-            step(batch, true, &format!("sparse steady step {i}"));
-        }
+        // The first step also creates the optimizer moments.
+        step();
+        let first = step();
+        let second = step();
+        assert_eq!(first, second, "steady-state steps must count alike");
+        assert!(first.0 > 0, "tensor buffers must be counted");
+        assert!(first.1 > 0, "graph nodes must be counted");
     }
 
     #[test]

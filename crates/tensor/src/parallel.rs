@@ -4,13 +4,11 @@
 //! points the other way), so it reads the same `FTSIM_THREADS` environment
 //! variable itself.
 //!
-//! Three kernels live here, all bound by the same accumulation-order
+//! Two kernels live here, both bound by the same accumulation-order
 //! contract (see DESIGN.md "Kernel contracts"):
 //!
 //! * [`matmul_naive_into`] — the i-p-j oracle. Slow, obviously correct,
 //!   and the reference every other kernel must match bit-for-bit.
-//! * [`matmul_blocked_into`] — the pre-microkernel cache-blocked kernel,
-//!   retained as the perf baseline for `repro bench_tensor`.
 //! * [`matmul_microkernel_into`] — the production kernel: cache-blocked
 //!   over the inner dimension and tiled into fixed `MR`×`NR` register
 //!   accumulators. Its band tiles, the fused epilogue's bias add, and the
@@ -22,7 +20,7 @@
 //! The contract: every output element accumulates its products in
 //! ascending inner-index (`p`) order, skipping terms whose *lhs* factor is
 //! exactly `0.0`. Because each element's addition sequence is fixed,
-//! results are bit-identical across all three kernels, across the scalar
+//! results are bit-identical across both kernels, across the scalar
 //! and SIMD bodies (which round identically — see `crate::simd`), and at
 //! every thread count (row partitioning never reorders a single element's
 //! sums). `linear_act_backward_into` extends the same contract to the
@@ -96,30 +94,11 @@ pub fn matmul_naive_into(lhs: &[f32], rhs: &[f32], out: &mut [f32], m: usize, k:
     }
 }
 
-/// `out[m×n] = lhs[m×k] @ rhs[k×n]` via the pre-microkernel cache-blocked
-/// kernel (serial), retained as the `repro bench_tensor` perf baseline.
-///
-/// Identical accumulation order to [`matmul_naive_into`]: the `K_BLOCK`
-/// panel split keeps ascending-`p` order per element, it only reorders
-/// work *between* elements. `out` must be zero-initialized, length `m*n`.
-pub fn matmul_blocked_into(
-    lhs: &[f32],
-    rhs: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    assert_eq!(lhs.len(), m * k, "lhs length");
-    assert_eq!(rhs.len(), k * n, "rhs length");
-    assert_eq!(out.len(), m * n, "out length");
-    matmul_rows_blocked(lhs, rhs, out, 0, k, n);
-}
-
 /// `out[m×n] = lhs[m×k] @ rhs[k×n]` via the register-tile microkernel
-/// (serial). This is the kernel the crate-internal `matmul_into` dispatcher drives under threads; it is
-/// public so benches can time it against [`matmul_blocked_into`] without
-/// thread-count noise. `out` must be zero-initialized, length `m*n`.
+/// (serial). This is the kernel the crate-internal `matmul_into`
+/// dispatcher drives under threads; it is public so benches can time it
+/// against [`matmul_naive_into`] without thread-count noise. `out` must be
+/// zero-initialized, length `m*n`.
 pub fn matmul_microkernel_into(
     lhs: &[f32],
     rhs: &[f32],
@@ -134,29 +113,9 @@ pub fn matmul_microkernel_into(
     matmul_rows(lhs, rhs, out, 0, k, n);
 }
 
-/// The pre-microkernel inner kernel: for each `K_BLOCK` panel, each output
-/// row is re-read and re-written once per `p` step. Kept (a) as the perf
-/// baseline and (b) as the remainder path for row counts below [`MR`].
-fn matmul_rows_blocked(
-    lhs: &[f32],
-    rhs: &[f32],
-    out_rows: &mut [f32],
-    row0: usize,
-    k: usize,
-    n: usize,
-) {
-    let rows = out_rows.len() / n.max(1);
-    for p0 in (0..k).step_by(K_BLOCK) {
-        let p1 = (p0 + K_BLOCK).min(k);
-        for i in 0..rows {
-            blocked_row_panel(lhs, rhs, out_rows, row0, i, p0, p1, k, n);
-        }
-    }
-}
-
-/// One row × one `K_BLOCK` panel of the blocked kernel: ascending `p`, lhs
-/// zero-skip, full column span. Shared by the blocked kernel and the
-/// microkernel's row-remainder path so both stay order-identical.
+/// One row × one `K_BLOCK` panel: ascending `p`, lhs zero-skip, full
+/// column span. The microkernel's row-remainder path, in the same order as
+/// the naive oracle.
 #[allow(clippy::too_many_arguments)]
 fn blocked_row_panel(
     lhs: &[f32],
@@ -242,7 +201,7 @@ fn band_tiles<const ZERO_SKIP: bool>(
 /// into a fixed-size accumulator array, updated with ascending-`p` FMAs
 /// across the panel, and stored back once. Loading the tile from `out` at
 /// panel entry (rather than zeroing it) means each element performs exactly
-/// the same addition sequence as the blocked kernel and the naive oracle —
+/// the same addition sequence as the naive oracle —
 /// ascending `p` with the lhs `0.0` skip — so results stay bit-identical.
 /// Column remainders (`n % NR`) and row remainders (`rows % MR`) fall back
 /// to the scalar panel loop in the same order.
@@ -604,45 +563,12 @@ mod tests {
         assert_eq!(resolve_thread_count(Some("no")), default);
     }
 
-    #[test]
-    fn blocked_kernel_is_bit_identical_to_naive() {
-        for (m, k, n) in [
-            (1, 1, 1),
-            (3, 5, 7),
-            (17, 130, 9),
-            (64, 64, 64),
-            (33, 200, 41),
-        ] {
-            let lhs = sparse_data(m * k, 11);
-            let rhs = pseudo_data(k * n, 23);
-            let mut blocked = vec![0.0f32; m * n];
-            matmul_blocked_into(&lhs, &rhs, &mut blocked, m, k, n);
-            let mut micro = vec![0.0f32; m * n];
-            matmul_rows(&lhs, &rhs, &mut micro, 0, k, n);
-            let expect = naive(&lhs, &rhs, m, k, n);
-            assert!(
-                blocked
-                    .iter()
-                    .zip(&expect)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "blocked kernel diverged at ({m},{k},{n})"
-            );
-            assert!(
-                micro
-                    .iter()
-                    .zip(&expect)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "microkernel diverged at ({m},{k},{n})"
-            );
-        }
-    }
-
     proptest! {
         /// The accumulation-order contract, machine-enforced: for arbitrary
-        /// shapes (remainders included) and sparse data, the microkernel,
-        /// the blocked reference, and the naive oracle agree bit-for-bit.
+        /// shapes (remainders included) and sparse data, the microkernel
+        /// and the naive oracle agree bit-for-bit.
         #[test]
-        fn prop_microkernel_matches_naive_and_blocked_bitwise(
+        fn prop_microkernel_matches_naive_bitwise(
             m in 1usize..14,
             k in 1usize..150,
             n in 1usize..28,
@@ -658,14 +584,8 @@ mod tests {
             };
             let rhs = pseudo_data(k * n, seed.wrapping_mul(3).wrapping_add(7));
             let expect = naive(&lhs, &rhs, m, k, n);
-            let mut blocked = vec![0.0f32; m * n];
-            matmul_blocked_into(&lhs, &rhs, &mut blocked, m, k, n);
             let mut micro = vec![0.0f32; m * n];
             matmul_microkernel_into(&lhs, &rhs, &mut micro, m, k, n);
-            prop_assert!(
-                blocked.iter().zip(&expect).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "blocked kernel diverged at ({},{},{})", m, k, n
-            );
             prop_assert!(
                 micro.iter().zip(&expect).all(|(a, b)| a.to_bits() == b.to_bits()),
                 "microkernel diverged at ({},{},{})", m, k, n

@@ -114,12 +114,10 @@ impl Quantized4Bit {
         })
     }
 
-    /// Restores the full-precision approximation, drawing the output buffer
-    /// from the thread-local [`crate::pool`] so repeated on-the-fly
-    /// de-quantization (the QLoRA steady state) allocates nothing after
-    /// warm-up — hand the buffer back with [`crate::pool::give`] when done.
+    /// Restores the full-precision approximation into a new buffer; use
+    /// [`Quantized4Bit::dequantize_into`] to reuse one across calls.
     pub fn dequantize(&self) -> Vec<f32> {
-        let mut out = crate::pool::take(self.len);
+        let mut out = Vec::with_capacity(self.len);
         self.dequantize_into(&mut out);
         out
     }
@@ -295,12 +293,6 @@ mod tests {
         q.dequantize_into(&mut buf);
         assert_eq!(buf, direct);
         assert_eq!(buf.capacity(), cap, "existing capacity should be reused");
-        // Steady-state dequantize through the pool: no fresh allocation.
-        crate::pool::give(direct);
-        let before = crate::pool::stats();
-        let again = q.dequantize();
-        assert_eq!(crate::pool::stats().allocs_since(&before), 0);
-        crate::pool::give(again);
     }
 
     proptest! {

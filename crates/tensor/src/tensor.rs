@@ -1,8 +1,7 @@
 //! Dense row-major `f32` tensors.
 //!
-//! Backing storage is drawn from the thread-local [`crate::pool`] and
-//! returned to it on drop, so steady-state workloads that repeatedly build
-//! tensors of the same shapes stop hitting the heap after warm-up.
+//! Every tensor owns a plain `Vec<f32>`. The constructors count the buffers
+//! they create in [`crate::pool::stats`].
 
 use crate::pool;
 use crate::shape::Shape;
@@ -57,25 +56,17 @@ impl Error for TensorError {}
 /// assert_eq!(t.get2(1, 0), 3.0);
 /// assert_eq!(t.sum(), 10.0);
 /// ```
-#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
 }
 
-impl Clone for Tensor {
-    fn clone(&self) -> Self {
-        Tensor {
-            shape: self.shape.clone(),
-            data: pool::take_shaped_copy(self.shape.dims(), &self.data),
-        }
-    }
-}
-
-impl Drop for Tensor {
-    fn drop(&mut self) {
-        pool::give_shaped(self.shape.dims(), std::mem::take(&mut self.data));
-    }
+/// An empty buffer with room for `len` elements, counted in
+/// [`pool::stats`].
+fn buffer(len: usize) -> Vec<f32> {
+    pool::count_tensor_buffer();
+    Vec::with_capacity(len)
 }
 
 impl Tensor {
@@ -98,7 +89,8 @@ impl Tensor {
     /// A tensor filled with zeros.
     pub fn zeros(shape: impl Into<Shape>) -> Self {
         let shape = shape.into();
-        let data = pool::take_shaped_zeroed(shape.dims());
+        pool::count_tensor_buffer();
+        let data = vec![0.0; shape.numel()];
         Tensor { shape, data }
     }
 
@@ -110,15 +102,14 @@ impl Tensor {
     /// A tensor filled with `value`.
     pub fn full(shape: impl Into<Shape>, value: f32) -> Self {
         let shape = shape.into();
-        let data = pool::take_shaped_filled(shape.dims(), value);
+        pool::count_tensor_buffer();
+        let data = vec![value; shape.numel()];
         Tensor { shape, data }
     }
 
     /// A rank-0 tensor holding a single value.
     pub fn scalar(value: f32) -> Self {
-        let shape = Shape::scalar();
-        let data = pool::take_shaped_filled(shape.dims(), value);
-        Tensor { shape, data }
+        Tensor::full(Shape::scalar(), value)
     }
 
     /// Builds a matrix from row slices.
@@ -134,7 +125,7 @@ impl Tensor {
             ));
         };
         let cols = first.len();
-        let mut data = pool::take_shaped(&[rows.len(), cols]);
+        let mut data = buffer(rows.len() * cols);
         for row in rows {
             if row.len() != cols {
                 return Err(TensorError::InvalidArgument(format!(
@@ -153,7 +144,7 @@ impl Tensor {
     /// A matrix with independent samples from `U(-scale, scale)`.
     pub fn rand_uniform(shape: impl Into<Shape>, scale: f32, rng: &mut impl Rng) -> Self {
         let shape = shape.into();
-        let mut data = pool::take_shaped(shape.dims());
+        let mut data = buffer(shape.numel());
         data.extend((0..shape.numel()).map(|_| rng.gen_range(-scale..=scale)));
         Tensor { shape, data }
     }
@@ -162,7 +153,7 @@ impl Tensor {
     /// using a 12-uniform-sum approximation (adequate for initialization).
     pub fn rand_normal(shape: impl Into<Shape>, std: f32, rng: &mut impl Rng) -> Self {
         let shape = shape.into();
-        let mut data = pool::take_shaped(shape.dims());
+        let mut data = buffer(shape.numel());
         data.extend((0..shape.numel()).map(|_| {
             let s: f32 = (0..12).map(|_| rng.gen_range(0.0..1.0f32)).sum();
             (s - 6.0) * std
@@ -199,10 +190,9 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its backing data (the storage leaves
-    /// the pool's custody along with it).
-    pub fn into_data(mut self) -> Vec<f32> {
-        std::mem::take(&mut self.data)
+    /// Consumes the tensor, returning its backing data.
+    pub fn into_data(self) -> Vec<f32> {
+        self.data
     }
 
     /// Element at `(row, col)` of a matrix.
@@ -275,7 +265,7 @@ impl Tensor {
 
     /// Applies `f` elementwise, producing a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        let mut data = pool::take_shaped(self.shape.dims());
+        let mut data = buffer(self.numel());
         data.extend(self.data.iter().map(|&x| f(x)));
         Tensor {
             shape: self.shape.clone(),
@@ -306,7 +296,7 @@ impl Tensor {
                 rhs: other.shape.clone(),
             });
         }
-        let mut data = pool::take_shaped(self.shape.dims());
+        let mut data = buffer(self.numel());
         data.extend(self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)));
         Ok(Tensor {
             shape: self.shape.clone(),
@@ -539,20 +529,6 @@ mod tests {
             got.add_assign(&Tensor::zeros([5, 4])),
             Err(TensorError::ShapeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn dropped_tensor_storage_is_recycled() {
-        // Warm up: the first tensor of this shape may allocate.
-        drop(Tensor::zeros([13, 17]));
-        let before = crate::pool::stats();
-        drop(Tensor::zeros([13, 17]));
-        let after = crate::pool::stats();
-        assert_eq!(
-            after.fresh_allocs, before.fresh_allocs,
-            "same-shape rebuild should reuse pooled storage"
-        );
-        assert!(after.reuses > before.reuses);
     }
 
     #[test]
