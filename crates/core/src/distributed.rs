@@ -311,7 +311,7 @@ impl DistributedPlan {
 
     /// Gradient bytes all-reduced per step under data parallelism: the
     /// trainable parameters at fp32 (LoRA/QLoRA adapters) or bf16 (full
-    /// fine-tuning), matching [`crate::scale_out`].
+    /// fine-tuning).
     fn grad_gb(&self) -> f64 {
         let bytes = if self.ft.method.lora_rank().is_some() {
             4.0
@@ -565,7 +565,7 @@ impl DistributedPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scale_out::Interconnect;
+    use crate::topology::Interconnect;
     use ftsim_gpu::GpuSpec;
     use ftsim_model::presets;
     use proptest::prelude::*;
@@ -607,6 +607,33 @@ mod tests {
         assert_eq!(step.per_device_batch, 2);
         let tp = plan.simulate_step(&topo, Parallelism::Tensor, 8, 64);
         assert_eq!(tp.per_device_batch, 8);
+    }
+
+    #[test]
+    fn data_parallel_sync_tax_follows_the_trainable_set() {
+        // Per-device batch fixed, so compute stays put as the fleet grows.
+        let dp = |plan: &DistributedPlan, n: usize, link: Interconnect, batch: usize| {
+            let topo = Topology::homogeneous(GpuSpec::a40(), n, link);
+            plan.simulate_step(&topo, Parallelism::Data, n * batch, 128)
+        };
+        // QLoRA all-reduces ~0.9 GB of adapter gradients: negligible on NVLink.
+        let qlora = mixtral_plan();
+        for n in [2, 4, 8] {
+            let eff = dp(&qlora, n, Interconnect::nvlink3(), 4).compute_fraction();
+            assert!(eff > 0.99, "{n} GPUs: efficiency {eff:.3}");
+        }
+        // Full fine-tuning all-reduces ~5.6 GB of bf16 gradients: a real
+        // tax on PCIe that NVLink mostly recovers.
+        let full = mamba_plan();
+        let pcie = dp(&full, 8, Interconnect::pcie4(), 8).compute_fraction();
+        let nvlink = dp(&full, 8, Interconnect::nvlink3(), 8).compute_fraction();
+        assert!(pcie < 0.60, "expected a heavy sync tax, got {pcie:.3}");
+        assert!(nvlink > pcie + 0.2, "NVLink {nvlink:.3} vs PCIe {pcie:.3}");
+        // Throughput still grows with the fleet despite the tax.
+        let qps: Vec<f64> = [1, 2, 4, 8]
+            .map(|n| dp(&full, n, Interconnect::pcie4(), 8).queries_per_second())
+            .to_vec();
+        assert!(qps.windows(2).all(|w| w[1] > w[0]), "{qps:?}");
     }
 
     #[test]
@@ -730,6 +757,17 @@ mod tests {
             let c_hi = plan.comm_seconds(
                 &Topology::homogeneous(GpuSpec::a40(), hi, link), par, batch, seq);
             prop_assert!(c_lo <= c_hi + 1e-15, "comm({lo})={c_lo} > comm({hi})={c_hi}");
+            // At a fixed per-device batch, data-parallel efficiency falls as
+            // the fleet grows.
+            if par == Parallelism::Data {
+                let eff = |n: usize| {
+                    let topo = Topology::homogeneous(GpuSpec::a40(), n, link);
+                    plan.simulate_step(&topo, par, n * batch, seq).compute_fraction()
+                };
+                let (e_lo, e_hi) = (eff(lo), eff(hi));
+                prop_assert!(e_hi <= e_lo, "efficiency({hi})={e_hi} > efficiency({lo})={e_lo}");
+                prop_assert!(e_hi > 0.0 && e_lo <= 1.0);
+            }
         }
 
         /// Satellite (b), half 2: communication time is inversely monotone

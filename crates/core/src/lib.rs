@@ -37,7 +37,6 @@ pub mod cost;
 pub mod distributed;
 pub mod fit;
 pub mod projection;
-pub mod scale_out;
 pub mod throughput_model;
 pub mod topology;
 pub mod validate;
@@ -49,7 +48,6 @@ pub use distributed::{
 };
 pub use fit::{nelder_mead, rmse, NelderMeadOptions};
 pub use projection::{MemoryProjection, ProjectionPoint};
-pub use scale_out::{scale_out, Interconnect, ScaleOutPoint};
 pub use throughput_model::{ThroughputModel, ThroughputSample};
-pub use topology::Topology;
+pub use topology::{Interconnect, Topology};
 pub use validate::{validate_combo, ThroughputValidation};

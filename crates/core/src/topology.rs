@@ -13,7 +13,67 @@
 use ftsim_gpu::GpuSpec;
 use serde::{Deserialize, Serialize};
 
-use crate::scale_out::Interconnect;
+/// Interconnect between replicas.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct Interconnect {
+    /// Human-readable name.
+    pub name: &'static str,
+    /// Per-GPU bus bandwidth in GB/s.
+    pub bandwidth_gbps: f64,
+    /// Per-step collective launch latency in microseconds.
+    pub latency_us: f64,
+}
+
+impl Interconnect {
+    /// NVLink 3 (A100-class): 600 GB/s aggregate.
+    pub fn nvlink3() -> Self {
+        Interconnect {
+            name: "NVLink3",
+            bandwidth_gbps: 600.0,
+            latency_us: 20.0,
+        }
+    }
+
+    /// PCIe 4.0 x16: ~32 GB/s — the realistic budget option for A40 boxes.
+    pub fn pcie4() -> Self {
+        Interconnect {
+            name: "PCIe4x16",
+            bandwidth_gbps: 32.0,
+            latency_us: 50.0,
+        }
+    }
+
+    /// 100 GbE (~12.5 GB/s, RDMA-class latency): the cross-node tier for
+    /// commodity clusters — what heterogeneous non-premium MoE fleets
+    /// actually train over.
+    pub fn ethernet100g() -> Self {
+        Interconnect {
+            name: "Ethernet100G",
+            bandwidth_gbps: 12.5,
+            latency_us: 150.0,
+        }
+    }
+
+    /// Every built-in link tier, fastest first.
+    pub fn catalog() -> Vec<Interconnect> {
+        vec![
+            Interconnect::nvlink3(),
+            Interconnect::pcie4(),
+            Interconnect::ethernet100g(),
+        ]
+    }
+
+    /// Looks a tier up by name, case-insensitively, accepting the common
+    /// short spellings (`"nvlink"`, `"pcie"`, `"ethernet"`/`"100gbe"`).
+    pub fn by_name(name: &str) -> Option<Interconnect> {
+        match name.trim().to_ascii_lowercase().as_str() {
+            "nvlink" | "nvlink3" => Some(Interconnect::nvlink3()),
+            "pcie" | "pcie4" | "pcie4x16" => Some(Interconnect::pcie4()),
+            "ethernet" | "ethernet100g" | "100gbe" | "eth" => Some(Interconnect::ethernet100g()),
+            _ => None,
+        }
+    }
+}
 
 /// A fleet of GPUs joined by one interconnect tier.
 ///

@@ -970,7 +970,7 @@ fn ablation() -> ExperimentResult {
 }
 
 fn scaleout() -> ExperimentResult {
-    use ftsim_cost::{scale_out, Interconnect};
+    use ftsim_cost::{DistributedPlan, Interconnect, Parallelism, Topology};
     let mut text = String::new();
     let mut rows = Vec::new();
     let gpus = [1usize, 2, 4, 8];
@@ -980,31 +980,32 @@ fn scaleout() -> ExperimentResult {
             models::mixtral_8x7b(),
             FineTuneConfig::qlora_sparse(),
             4usize,
-            4.0,
         ),
         (
             "BlackMamba full (bf16 grads)",
             models::blackmamba_2p8b(),
             FineTuneConfig::full_sparse(),
             12,
-            2.0,
         ),
     ];
-    for (label, model, ft, batch, grad_bytes) in cases {
-        let step = StepSimulator::new(model.clone(), ft, a40())
-            .simulate_step(batch, 128)
-            .total_seconds();
-        let trainable = ft.trainable_params(&model) as f64;
+    for (label, model, ft, batch) in cases {
+        let plan = DistributedPlan::new(model, ft);
         for link in [Interconnect::nvlink3(), Interconnect::pcie4()] {
-            let pts = scale_out(step, batch, trainable, grad_bytes, link, &gpus);
+            let pts: Vec<_> = gpus
+                .iter()
+                .map(|&n| {
+                    let topo = Topology::homogeneous(GpuSpec::a40(), n, link);
+                    plan.simulate_step(&topo, Parallelism::Data, n * batch, 128)
+                })
+                .collect();
             let series: Vec<String> = pts
                 .iter()
                 .map(|p| {
                     format!(
                         "{}x{:.1}q/s({:.0}%)",
-                        p.gpus,
-                        p.queries_per_second,
-                        p.efficiency * 100.0
+                        p.world_size,
+                        p.queries_per_second(),
+                        p.compute_fraction() * 100.0
                     )
                 })
                 .collect();
@@ -1012,7 +1013,8 @@ fn scaleout() -> ExperimentResult {
             rows.push(json!({
                 "case": label, "link": link.name,
                 "points": pts.iter().map(|p| json!({
-                    "gpus": p.gpus, "qps": p.queries_per_second, "efficiency": p.efficiency,
+                    "gpus": p.world_size, "qps": p.queries_per_second(),
+                    "efficiency": p.compute_fraction(),
                 })).collect::<Vec<_>>(),
             }));
         }
@@ -1551,7 +1553,6 @@ fn profile() -> ExperimentResult {
     let moe_kernels = trace.moe_kernel_breakdown();
     let util = trace.moe_overall_utilization();
     let cache = sim.cache_stats();
-    let pool = ftsim_sim::record_pool_stats();
 
     let summary = json!({
         "config": json!({
@@ -1580,10 +1581,6 @@ fn profile() -> ExperimentResult {
             "imbalance_delta": outcome.imbalance_delta(),
         }),
         "trace_cache": json!({ "hits": cache.hits, "misses": cache.misses }),
-        "record_pool": json!({
-            "fresh_allocs": pool.fresh_allocs, "reuses": pool.reuses,
-            "returns": pool.returns, "discards": pool.discards,
-        }),
         "span_count": events.len(),
         "chrome_event_count": chrome.len(),
         "metrics": serde_json::from_str(&metrics.to_json_string())
@@ -1625,8 +1622,8 @@ fn profile() -> ExperimentResult {
     );
     let _ = writeln!(
         text,
-        "trace cache: {} hits / {} misses; record pool: {} reuses / {} fresh",
-        cache.hits, cache.misses, pool.reuses, pool.fresh_allocs
+        "trace cache: {} hits / {} misses",
+        cache.hits, cache.misses
     );
     let _ = writeln!(
         text,

@@ -22,16 +22,11 @@
 //!   2 counter   name, delta u64
 //!   3 gauge     name, f64 bits
 //!   4 histogram name, f64 bits
-//!   255 footer  events_written u64, dropped_events u64, then (since v2 of
-//!               the footer; absent in older logs) per-category drop counts
-//!               spans/counters/gauges/histograms as 4 × u64, then (since
-//!               v3) per-category sampler admitted + suppressed counts as
+//!   255 footer  events_written u64, dropped_events u64, then per-category
+//!               drop counts spans/counters/gauges/histograms as 4 × u64,
+//!               then per-category sampler admitted + suppressed counts as
 //!               8 × u64
 //! ```
-//!
-//! Footer decoding is length-driven: older (shorter) footers decode with
-//! the missing tails reported as zero, so logs written by any prior version
-//! keep replaying.
 
 use std::fs::File;
 use std::io::{self, Read, Write};
@@ -245,14 +240,13 @@ pub struct Footer {
     /// Events the ring rejected because it was full (producers never block;
     /// overload costs visibility, not throughput).
     pub dropped_events: u64,
-    /// The same drops broken down by event category. All-zero for logs
-    /// written before the footer carried the breakdown.
+    /// The same drops broken down by event category.
     pub dropped_by: DroppedCounts,
     /// Events the producer-side sampler admitted, per category. All-zero
-    /// when no sampler was installed or the log predates footer v3.
+    /// when no sampler was installed.
     pub sampled_by: CategoryCounts,
     /// Events the producer-side sampler suppressed, per category (these
-    /// never reached the ring). All-zero for unsampled or older logs.
+    /// never reached the ring). All-zero for unsampled logs.
     pub sampler_dropped_by: CategoryCounts,
 }
 
@@ -298,16 +292,8 @@ impl Cursor<'_> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
-    fn remaining(&self) -> usize {
-        self.bytes.len().saturating_sub(self.pos)
-    }
-
-    /// Reads a per-category count quad, or all-zero when the payload ends
-    /// first (how older footers decode under newer readers).
+    /// Reads a per-category count quad.
     fn category_quad(&mut self) -> io::Result<DroppedCounts> {
-        if self.remaining() < 32 {
-            return Ok(DroppedCounts::default());
-        }
         Ok(DroppedCounts {
             spans: self.u64()?,
             counters: self.u64()?,
@@ -359,9 +345,6 @@ fn decode_payload(payload: &[u8]) -> io::Result<Decoded> {
         TAG_FOOTER => {
             let events_written = c.u64()?;
             let dropped_events = c.u64()?;
-            // Length-driven tails: logs written before a given footer
-            // extension simply end earlier, and the missing counts read as
-            // zero (v1: totals only; v2: + drop breakdown; v3: + sampler).
             let dropped_by = c.category_quad()?;
             let sampled_by = c.category_quad()?;
             let sampler_dropped_by = c.category_quad()?;
@@ -735,7 +718,7 @@ mod tests {
     }
 
     #[test]
-    fn footer_round_trips_per_category_drops_and_reads_old_logs() {
+    fn footer_round_trips_per_category_drops_and_rejects_short_footers() {
         let footer = Footer {
             events_written: 100,
             dropped_events: 10,
@@ -774,38 +757,14 @@ mod tests {
         assert!((decoded.undercount_factor(0, 93) - 500.0 / 93.0).abs() < 1e-12);
         assert_eq!(decoded.undercount_factor(2, 0), 1.0, "no records, no claim");
 
-        // A v1 footer (17-byte payload: totals only) still decodes, with
-        // all breakdowns zero.
-        let mut old = Vec::new();
-        old.extend_from_slice(&17u32.to_le_bytes());
-        old.push(TAG_FOOTER);
-        old.extend_from_slice(&100u64.to_le_bytes());
-        old.extend_from_slice(&10u64.to_le_bytes());
-        let Decoded::Footer(legacy) = decode_payload(&old[4..]).unwrap() else {
-            panic!("not a footer");
-        };
-        assert_eq!(legacy.events_written, 100);
-        assert_eq!(legacy.dropped_events, 10);
-        assert_eq!(legacy.dropped_by, DroppedCounts::default());
-        assert_eq!(legacy.sampled_by, CategoryCounts::default());
-        assert_eq!(legacy.sampler_dropped_by, CategoryCounts::default());
-
-        // A v2 footer (49-byte payload: totals + drop breakdown) decodes
-        // its breakdown and reports zero sampler counts.
-        let mut v2 = Vec::new();
-        v2.extend_from_slice(&49u32.to_le_bytes());
-        v2.push(TAG_FOOTER);
-        v2.extend_from_slice(&100u64.to_le_bytes());
-        v2.extend_from_slice(&10u64.to_le_bytes());
-        for count in [7u64, 1, 0, 2] {
-            v2.extend_from_slice(&count.to_le_bytes());
+        // Shorter footers (17 bytes: totals only; 49 bytes: + drop
+        // breakdown) are rejected rather than read as a complete log.
+        for len in [17, 49] {
+            let err = decode_payload(&buf[4..4 + len])
+                .err()
+                .expect("short footer");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{len}-byte footer");
         }
-        let Decoded::Footer(mid) = decode_payload(&v2[4..]).unwrap() else {
-            panic!("not a footer");
-        };
-        assert_eq!(mid.dropped_by, footer.dropped_by);
-        assert_eq!(mid.sampled_by, CategoryCounts::default());
-        assert_eq!(mid.sampler_dropped_by, CategoryCounts::default());
     }
 
     #[test]

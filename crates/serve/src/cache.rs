@@ -15,11 +15,49 @@
 //! every caller sees bit-identical bytes.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 use ftsim_obs::Counter;
-use ftsim_tensor::pool::FxBuildHasher;
+
+/// Multiply-xor hasher (the rustc-hash construction) for the shard maps and
+/// the scenario hash ([`crate::spec::ScenarioSpec::hash`]). Keys are
+/// canonical scenario strings on the cache-hit hot path, where the default
+/// SipHash's per-call overhead is measurable. A collision never yields a
+/// wrong answer: entries are keyed by the full canonical string.
+#[derive(Default)]
+pub(crate) struct FxHasher(u64);
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.add(v as u64);
+    }
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.add(v);
+    }
+}
+
+/// `BuildHasher` for [`FxHasher`]-keyed maps.
+type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// One cached answer, or a marker that a thread is computing it.
 enum Entry {
@@ -277,10 +315,9 @@ impl ScenarioCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::hash::Hasher;
 
     fn h(key: &str) -> u64 {
-        let mut hasher = ftsim_tensor::pool::FxHasher::default();
+        let mut hasher = FxHasher::default();
         hasher.write(key.as_bytes());
         hasher.finish()
     }

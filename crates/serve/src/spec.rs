@@ -13,10 +13,10 @@
 
 use std::hash::Hasher;
 
+use crate::cache::FxHasher;
 use ftsim_cost::{Interconnect, Parallelism, Topology};
 use ftsim_gpu::{CloudProvider, GpuSpec, PriceTable};
 use ftsim_model::{presets, FineTuneConfig, ModelConfig};
-use ftsim_tensor::pool::FxHasher;
 use ftsim_workload::{presets as data, DatasetSpec};
 use serde_json::Value;
 

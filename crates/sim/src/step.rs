@@ -11,30 +11,8 @@ use crate::trace::{KernelRecord, Section, Stage, StepTrace, TraceSegment};
 use ftsim_gpu::{CostModel, KernelDesc, KernelKind};
 use ftsim_model::{FineTuneConfig, FineTuneMethod, ModelConfig, SequenceMixer};
 use ftsim_tensor::nn::ExpertKind;
-use ftsim_tensor::pool::{Pool, PoolStats};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
-
-thread_local! {
-    /// Recycled kernel-record storage for the sweep hot path. One pool per
-    /// thread: recycling stays uncontended and the allocation counters are
-    /// deterministic for the thread doing the sweeping. [`StepTrace`]
-    /// returns sole-owned segment buffers here on drop, so steady-state
-    /// `simulate_step` calls — identical shapes, step after step — allocate
-    /// no record storage.
-    static RECORD_POOL: Pool<KernelRecord> = Pool::with_label("sim.record_pool");
-}
-
-/// Runs `f` against the calling thread's kernel-record pool.
-pub(crate) fn with_record_pool<R>(f: impl FnOnce(&Pool<KernelRecord>) -> R) -> R {
-    RECORD_POOL.with(f)
-}
-
-/// Allocation counters of the calling thread's kernel-record pool (how the
-/// zero-steady-state-allocation property of the sweep hot path is asserted).
-pub fn record_pool_stats() -> PoolStats {
-    RECORD_POOL.with(|p| p.stats())
-}
 
 /// Obs counters for [`TraceCache`] effectiveness; registered on first use.
 fn cache_obs() -> &'static (ftsim_obs::Counter, ftsim_obs::Counter) {
@@ -117,14 +95,12 @@ struct TraceBuilder<'a> {
 }
 
 impl<'a> TraceBuilder<'a> {
-    /// Pre-sizes the record vector from the thread's record pool; hot sweep
-    /// paths pass the exact kernel count (see the `*_kernels` estimators) so
-    /// emission never reallocates, and after warm-up the storage itself is
-    /// recycled rather than freshly allocated.
+    /// Pre-sizes the record vector; hot sweep paths pass the exact kernel
+    /// count (see the `*_kernels` estimators) so emission never reallocates.
     fn with_capacity(cost: &'a CostModel, kernels: usize) -> Self {
         TraceBuilder {
             cost,
-            records: with_record_pool(|p| p.take(kernels)),
+            records: Vec::with_capacity(kernels),
             stage: Stage::Forward,
         }
     }
@@ -211,7 +187,7 @@ impl StepSimulator {
                 // cached traces copies records but prices nothing.
                 let recompute =
                     self.layer_records(Stage::Backward, LayerKind::Forward, batch, seq_len);
-                let mut combined = with_record_pool(|p| p.take(recompute.len() + bwd_layer.len()));
+                let mut combined = Vec::with_capacity(recompute.len() + bwd_layer.len());
                 combined.extend_from_slice(&recompute);
                 combined.extend_from_slice(&bwd_layer);
                 Arc::new(combined)
@@ -1061,28 +1037,6 @@ mod tests {
         // A new shape adds exactly three more computations.
         sim.simulate_step(4, 128);
         assert_eq!(sim.cache_stats().misses, 6);
-    }
-
-    #[test]
-    fn steady_state_step_allocates_no_record_buffers() {
-        // Satellite of the zero-allocation work: after one warm-up step at a
-        // shape, further steps at that shape draw every record buffer from
-        // the thread's pool (the drop recycling in `trace.rs` feeds it).
-        // The pool is thread-local, so parallel tests cannot perturb this.
-        let sim = mixtral_sim(FineTuneConfig::qlora_sparse());
-        drop(sim.simulate_step(2, 128));
-        let before = record_pool_stats();
-        for _ in 0..5 {
-            drop(sim.simulate_step(2, 128));
-        }
-        let after = record_pool_stats();
-        assert_eq!(
-            after.allocs_since(&before),
-            0,
-            "steady-state steps allocated record buffers: {before:?} -> {after:?}"
-        );
-        assert!(after.reuses > before.reuses, "{before:?} -> {after:?}");
-        assert!(after.returns > before.returns, "{before:?} -> {after:?}");
     }
 
     #[test]

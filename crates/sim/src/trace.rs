@@ -126,13 +126,6 @@ impl TraceSegment {
     pub fn kernel_count(&self) -> usize {
         self.records.len() * self.repeat
     }
-
-    /// Reclaims the record storage if this segment is its sole owner (i.e.
-    /// the records are not shared with a [`crate::step::TraceCache`] or
-    /// another trace). Used by [`StepTrace`]'s drop recycling.
-    fn take_records(self) -> Option<Vec<KernelRecord>> {
-        Arc::try_unwrap(self.records).ok()
-    }
 }
 
 /// The complete priced trace of one training step.
@@ -272,20 +265,6 @@ impl StepTrace {
             .filter(|r| r.stage == stage)
             .map(|r| r.cost.latency_s)
             .sum()
-    }
-}
-
-impl Drop for StepTrace {
-    /// Returns sole-owned segment storage to the thread's record pool so
-    /// steady-state `simulate_step` calls allocate no record buffers.
-    /// Segments shared with a trace cache (or a clone) are left untouched —
-    /// `Arc::try_unwrap` fails and the storage stays with its other owners.
-    fn drop(&mut self) {
-        for segment in self.segments.drain(..) {
-            if let Some(records) = segment.take_records() {
-                crate::step::with_record_pool(|p| p.give(records));
-            }
-        }
     }
 }
 

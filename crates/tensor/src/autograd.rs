@@ -8,6 +8,7 @@
 
 use crate::ops;
 use crate::ops::Activation;
+use crate::pool::AllocStats;
 use crate::shape::Shape;
 use crate::tensor::{Tensor, TensorError};
 use std::cell::{Cell, RefCell};
@@ -24,27 +25,13 @@ struct Node {
     backward: Option<BackwardFn>,
 }
 
-/// Snapshot of the graph-node counter (see [`arena_stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ArenaStats {
-    /// Graph nodes created on this thread, each a fresh `Rc` allocation.
-    pub fresh_allocs: u64,
-}
-
-impl ArenaStats {
-    /// Nodes created between `earlier` and `self`.
-    pub fn allocs_since(&self, earlier: &ArenaStats) -> u64 {
-        self.fresh_allocs - earlier.fresh_allocs
-    }
-}
-
 thread_local! {
     static NODES_CREATED: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Counter snapshot of the graph nodes the current thread has created.
-pub fn arena_stats() -> ArenaStats {
-    ArenaStats {
+pub fn arena_stats() -> AllocStats {
+    AllocStats {
         fresh_allocs: NODES_CREATED.try_with(Cell::get).unwrap_or(0),
     }
 }
