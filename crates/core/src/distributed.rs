@@ -461,8 +461,8 @@ impl DistributedPlan {
         step
     }
 
-    /// Mirrors the comm/compute/bubble split into the obs registry so a
-    /// live follower (or the cluster experiment's snapshot) sees it.
+    /// Mirrors the comm/compute/bubble split into the obs registry so the
+    /// cluster experiment's snapshot sees it.
     fn publish_gauges(&self, step: &DistributedStep) {
         if ftsim_obs::enabled() {
             let [compute, comm, bubble, comm_pct] = dist_obs();

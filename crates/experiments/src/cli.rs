@@ -13,9 +13,7 @@ use serde_json::Value;
 use crate::{experiment_ids, extra_experiment_ids};
 
 /// One-screen usage text (the id lists are appended by [`usage`]).
-pub const USAGE: &str = "usage: repro [--list] [--out DIR] [--follow] <all | id...>
-       repro --follow [--out DIR]
-           tail a live run's event log (results/profile_events.bin)
+pub const USAGE: &str = "usage: repro [--list] [--out DIR] <all | id...>
        repro cluster
            distributed-simulator cost table over GPU type x world size x
            {data,tensor,expert} parallelism; writes results/cluster_costs.json
@@ -24,17 +22,15 @@ pub const USAGE: &str = "usage: repro [--list] [--out DIR] [--follow] <all | id.
            expert-parallel all-to-all sensitivity sweep across link tiers,
            world sizes, and routing density (top-2 vs dense)
        repro obs-diff <baseline.json> <current.json>
-                      [--threshold FRACTION] [--ignore SUBSTR]... [--log EVENTS.bin]
+                      [--threshold FRACTION] [--ignore SUBSTR]...
            compare metric snapshots (counters, gauges, histogram/sketch
            count+mean+p50+p99); exit 1 on regression
        repro serve [--addr HOST:PORT] [--cache-capacity N] [--shards N]
                    [--slo-target-p99-us US] [--slo-error-budget FRACTION]
-                   [--events FILE]
            answer plan/estimate/sweep queries over a line protocol
            (one JSON scenario per line; {\"query\":\"shutdown\"} stops it,
            {\"query\":\"metrics\"} answers a Prometheus-style exposition
-           ending with `# EOF`); --events streams sampled phase events
-           into a binary log
+           ending with `# EOF`)
        repro loadgen [--addr HOST:PORT] [--connections N] [--requests N]
                      [--pipeline N] [--scenarios N]
                      [--mix plan=8,estimate=3,sweep=1] [--seed N]
@@ -64,30 +60,16 @@ pub enum Command {
     Help { exit_code: i32 },
     /// Print every experiment id.
     List,
-    /// Run experiments (optionally with a live follower attached).
-    Run {
-        ids: Vec<String>,
-        out_dir: String,
-        follow: bool,
-    },
-    /// Tail-only mode: render `<out_dir>/profile_events.bin` live.
-    Follow { out_dir: String },
+    /// Run experiments.
+    Run { ids: Vec<String>, out_dir: String },
     /// Metrics regression gate over two snapshot files.
     ObsDiff {
         baseline: String,
         current: String,
         config: DiffConfig,
-        /// Optional event log whose footer (events written, drops by
-        /// category) is appended to the report as informational notes.
-        log: Option<String>,
     },
     /// Long-running planner-as-a-service TCP server.
-    Serve {
-        config: ServeConfig,
-        /// When set, stream sampled observability events into this binary
-        /// log while serving (drained ring + adaptive sampler).
-        events: Option<String>,
-    },
+    Serve { config: ServeConfig },
     /// Closed-loop load generator against a serve endpoint.
     Loadgen { config: LoadgenConfig },
 }
@@ -115,13 +97,11 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     let extra = extra_experiment_ids();
     let mut out_dir = String::from("results");
     let mut ids: Vec<String> = Vec::new();
-    let mut follow = false;
     let mut list = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--list" => list = true,
-            "--follow" => follow = true,
             "--out" => {
                 out_dir = it
                     .next()
@@ -155,31 +135,17 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         return Ok(Command::List);
     }
     if ids.is_empty() {
-        if follow {
-            return Ok(Command::Follow { out_dir });
-        }
         return Err(format!("no experiments selected\n{}", valid_ids_help()));
     }
-    Ok(Command::Run {
-        ids,
-        out_dir,
-        follow,
-    })
+    Ok(Command::Run { ids, out_dir })
 }
 
 fn parse_obs_diff(args: &[String]) -> Result<Command, String> {
     let mut config = DiffConfig::default();
     let mut paths: Vec<String> = Vec::new();
-    let mut log = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--log" => {
-                let p = it
-                    .next()
-                    .ok_or_else(|| "--log requires an event-log path".to_string())?;
-                log = Some(p.clone());
-            }
             "--threshold" => {
                 let v = it
                     .next()
@@ -216,7 +182,6 @@ fn parse_obs_diff(args: &[String]) -> Result<Command, String> {
         baseline,
         current,
         config,
-        log,
     })
 }
 
@@ -249,7 +214,6 @@ fn positive_f64(flag: &str, v: Option<&String>) -> Result<f64, String> {
 
 fn parse_serve(args: &[String]) -> Result<Command, String> {
     let mut config = ServeConfig::default();
-    let mut events = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -275,17 +239,10 @@ fn parse_serve(args: &[String]) -> Result<Command, String> {
                 }
                 config.slo_error_budget = budget;
             }
-            "--events" => {
-                events = Some(
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| "--events requires a file path".to_string())?,
-                );
-            }
             other => return Err(format!("unknown serve argument {other:?}\n{USAGE}")),
         }
     }
-    Ok(Command::Serve { config, events })
+    Ok(Command::Serve { config })
 }
 
 /// Parses `plan=8,estimate=3,sweep=1` (any subset; omitted kinds keep their
@@ -519,16 +476,12 @@ mod tests {
 
     #[test]
     fn run_parses_ids_flags_and_dedups() {
-        let cmd = parse(&args(&[
-            "--out", "o", "fig8", "fig8", "--follow", "profile",
-        ]))
-        .unwrap();
+        let cmd = parse(&args(&["--out", "o", "fig8", "fig8", "profile"])).unwrap();
         assert_eq!(
             cmd,
             Command::Run {
                 ids: vec!["fig8".to_string(), "profile".to_string()],
                 out_dir: "o".to_string(),
-                follow: true,
             }
         );
     }
@@ -539,16 +492,6 @@ mod tests {
             panic!("expected Run");
         };
         assert_eq!(ids.len(), experiment_ids().len());
-    }
-
-    #[test]
-    fn bare_follow_is_tail_only_mode() {
-        assert_eq!(
-            parse(&args(&["--follow"])).unwrap(),
-            Command::Follow {
-                out_dir: "results".to_string()
-            }
-        );
     }
 
     #[test]
@@ -576,7 +519,6 @@ mod tests {
             baseline,
             current,
             config,
-            log,
         } = cmd
         else {
             panic!("expected ObsDiff");
@@ -587,17 +529,6 @@ mod tests {
         );
         assert_eq!(config.threshold, 0.1);
         assert_eq!(config.ignore, vec!["tokens_per_sec".to_string()]);
-        assert_eq!(log, None);
-    }
-
-    #[test]
-    fn obs_diff_accepts_an_event_log_for_footer_notes() {
-        let cmd = parse(&args(&["obs-diff", "a.json", "b.json", "--log", "ev.bin"])).unwrap();
-        let Command::ObsDiff { log, .. } = cmd else {
-            panic!("expected ObsDiff");
-        };
-        assert_eq!(log.as_deref(), Some("ev.bin"));
-        assert!(parse(&args(&["obs-diff", "a", "b", "--log"])).is_err());
     }
 
     #[test]
@@ -612,13 +543,12 @@ mod tests {
             "4",
         ]))
         .unwrap();
-        let Command::Serve { config, events } = cmd else {
+        let Command::Serve { config } = cmd else {
             panic!("expected Serve");
         };
         assert_eq!(config.addr, "0.0.0.0:9000");
         assert_eq!(config.cache_capacity, 128);
         assert_eq!(config.shards, 4);
-        assert_eq!(events, None);
         // Strict: positional junk and zero values are rejected.
         assert!(parse(&args(&["serve", "extra"])).is_err());
         assert!(parse(&args(&["serve", "--shards", "0"])).is_err());
@@ -626,26 +556,22 @@ mod tests {
     }
 
     #[test]
-    fn serve_parses_slo_knobs_and_event_log() {
+    fn serve_parses_slo_knobs() {
         let cmd = parse(&args(&[
             "serve",
             "--slo-target-p99-us",
             "2500",
             "--slo-error-budget",
             "0.01",
-            "--events",
-            "serve_events.bin",
         ]))
         .unwrap();
-        let Command::Serve { config, events } = cmd else {
+        let Command::Serve { config } = cmd else {
             panic!("expected Serve");
         };
         assert_eq!(config.slo_target_p99_us, 2500.0);
         assert_eq!(config.slo_error_budget, 0.01);
-        assert_eq!(events.as_deref(), Some("serve_events.bin"));
         assert!(parse(&args(&["serve", "--slo-target-p99-us", "-5"])).is_err());
         assert!(parse(&args(&["serve", "--slo-error-budget", "1.5"])).is_err());
-        assert!(parse(&args(&["serve", "--events"])).is_err());
     }
 
     #[test]
@@ -714,10 +640,7 @@ mod tests {
             "obs-diff",
             "serve",
             "loadgen",
-            "--follow",
             "--mix",
-            "--log",
-            "--events",
             "--slo-target-p99-us",
             "--slo-error-budget",
             "metrics",

@@ -20,7 +20,6 @@ use serde_json::{json, Value};
 use std::fmt::Write as _;
 
 pub mod cli;
-pub mod follow;
 
 /// The output of one experiment.
 #[derive(Debug, Clone)]
@@ -1438,60 +1437,6 @@ fn breakdown_json(b: &Breakdown) -> Value {
 /// The summary's stage/section/MoE-kernel percentages are computed from the
 /// same `simulate_step` call the fig4/fig5/fig6 experiments price, so they
 /// agree with those artifacts by construction.
-/// Replays a priced step into the installed [`ftsim_obs`] sink as synthetic
-/// spans: category `sim.gpu`, a dedicated tid, depth 0 = stage, depth 1 =
-/// section, depth 2 = kernel, timestamps from a cursor over the *modeled*
-/// latencies. Wall-clock guards would record pricing time, not device time;
-/// this is what makes the streamed event log's flamegraph agree with
-/// `profile_summary.json`'s stage breakdown by construction.
-fn emit_simulated_timeline(trace: &ftsim_sim::StepTrace, attention: bool) {
-    if !ftsim_obs::enabled() {
-        return;
-    }
-    // Clear of the sequential wall-clock thread ids.
-    const TID: u64 = 1_000_000;
-    const CAT: &str = "sim.gpu";
-    let ns = |s: f64| (s * 1e9).round() as u64;
-    let mut cursor = 0u64;
-    let mut stage: Option<(&'static str, u64, u64)> = None; // (label, start, dur)
-    let mut section: Option<(&'static str, u64, u64)> = None;
-    for r in trace.records() {
-        let dur = ns(r.cost.latency_s);
-        let stage_label = r.stage.label();
-        let section_label = r.section.label(attention);
-        if stage.map(|(l, _, _)| l) != Some(stage_label) {
-            // A stage boundary also closes the open section.
-            if let Some((l, start, d)) = section.take() {
-                ftsim_obs::emit_span(CAT, l, start, d, TID, 1);
-            }
-            if let Some((l, start, d)) = stage.take() {
-                ftsim_obs::emit_span(CAT, l, start, d, TID, 0);
-            }
-            stage = Some((stage_label, cursor, 0));
-        }
-        if section.map(|(l, _, _)| l) != Some(section_label) {
-            if let Some((l, start, d)) = section.take() {
-                ftsim_obs::emit_span(CAT, l, start, d, TID, 1);
-            }
-            section = Some((section_label, cursor, 0));
-        }
-        ftsim_obs::emit_span(CAT, r.desc.kind.label(), cursor, dur, TID, 2);
-        if let Some(s) = stage.as_mut() {
-            s.2 += dur;
-        }
-        if let Some(s) = section.as_mut() {
-            s.2 += dur;
-        }
-        cursor += dur;
-    }
-    if let Some((l, start, d)) = section {
-        ftsim_obs::emit_span(CAT, l, start, d, TID, 1);
-    }
-    if let Some((l, start, d)) = stage {
-        ftsim_obs::emit_span(CAT, l, start, d, TID, 0);
-    }
-}
-
 fn profile() -> ExperimentResult {
     let model = models::mixtral_8x7b();
     let sparse = true;
@@ -1504,8 +1449,7 @@ fn profile() -> ExperimentResult {
     ftsim_obs::enable();
 
     // Wall-clock work under the tracer: the Fig. 8 sweep (sim.sweep/sim.step
-    // spans, trace-cache and record-pool counters, per-kernel-class cost
-    // counters) ...
+    // spans, trace-cache counters, per-kernel-class cost counters) ...
     let batches: Vec<usize> = (1..=mb).collect();
     let sweep = ThroughputSweep::run(&sim, "Mixtral-S/CS", seq, &batches)
         .unwrap_or_else(|e| panic!("throughput sweep failed: {e}"));
@@ -1521,7 +1465,6 @@ fn profile() -> ExperimentResult {
     trace
         .moe_overall_utilization()
         .publish_gauges("gpu.profile.moe");
-    emit_simulated_timeline(&trace, model.is_attention());
 
     let metrics = ftsim_obs::registry().snapshot();
     ftsim_obs::disable();
@@ -1663,14 +1606,6 @@ fn profile() -> ExperimentResult {
 mod tests {
     use super::*;
 
-    /// Serializes tests that run the `profile` experiment: it toggles the
-    /// process-global obs enable flag, resets the registry, and (in the
-    /// streaming test) installs the global sink.
-    fn profile_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
     #[test]
     fn all_ids_run_and_produce_output() {
         // fig3/fig11 do real training; keep them but this is the slowest test.
@@ -1796,7 +1731,6 @@ mod tests {
 
     #[test]
     fn profile_artifacts_parse_and_agree_with_figure_aggregates() {
-        let _g = profile_lock();
         let r = run("profile");
         assert_eq!(r.id, "profile");
         assert!(!experiment_ids().contains(&"profile"));
@@ -1825,15 +1759,11 @@ mod tests {
             Some(Value::Array(events)) => events,
             other => panic!("missing traceEvents: {other:?}"),
         };
-        let lane = |pid: i64| {
-            events
-                .iter()
-                .filter(|e| {
-                    matches!(e.get("ph"), Some(Value::String(p)) if p == "X")
-                        && matches!(e.get("pid"), Some(Value::Int(p)) if *p == pid)
-                })
-                .count()
+        let on_lane = |e: &Value, pid: i64| {
+            matches!(e.get("ph"), Some(Value::String(p)) if p == "X")
+                && matches!(e.get("pid"), Some(Value::Int(p)) if *p == pid)
         };
+        let lane = |pid: i64| events.iter().filter(|e| on_lane(e, pid)).count();
         assert!(lane(1) > 100, "simulated lane has {} events", lane(1));
         assert!(lane(2) > 10, "wall-clock lane has {} events", lane(2));
 
@@ -1866,69 +1796,32 @@ mod tests {
                 "{stage}: profile {got:.1}% vs reference {want:.1}%"
             );
         }
-    }
 
-    #[test]
-    fn streamed_log_replays_into_a_flamegraph_matching_the_summary() {
-        let _g = profile_lock();
-        let dir = std::env::temp_dir().join(format!("ftsim-flame-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("events.bin");
-
-        // Same topology as the `repro` binary: ring sink + drain thread
-        // installed before the profile run, clean shutdown after.
-        let ring = std::sync::Arc::new(ftsim_obs::RingBuffer::with_capacity(1 << 16));
-        let writer = ftsim_obs::BinLogWriter::spawn(
-            &path,
-            std::sync::Arc::clone(&ring),
-            std::time::Duration::from_millis(10),
-        )
-        .unwrap();
-        ftsim_obs::set_sink(std::sync::Arc::new(ftsim_obs::RingSink::new(ring)));
-        let r = run("profile");
-        ftsim_obs::clear_sink();
-        let stats = writer.finish().unwrap();
-        assert_eq!(stats.dropped_events, 0, "ring sized for a profile run");
-        assert!(
-            stats.events_written > 100,
-            "{} events",
-            stats.events_written
+        // The simulated lane draws the same `trace.records()` the summary
+        // aggregates: its durations summed by the stage prefix of `cat`
+        // ("<stage>:<section>") reproduce every stage share within 0.1 pp.
+        let mut lane_us = std::collections::BTreeMap::<&str, f64>::new();
+        for e in events.iter().filter(|e| on_lane(e, 1)) {
+            let stage = match e.get("cat") {
+                Some(Value::String(cat)) => cat.split(':').next().unwrap_or(cat),
+                other => panic!("simulated event without a cat: {other:?}"),
+            };
+            *lane_us.entry(stage).or_default() += num_of(e, "dur");
+        }
+        let lane_total: f64 = lane_us.values().sum();
+        assert_eq!(
+            lane_us.len(),
+            3,
+            "stages on the simulated lane: {lane_us:?}"
         );
-
-        let (records, footer) = ftsim_obs::replay(&path).unwrap();
-        assert_eq!(footer.unwrap().events_written, records.len() as u64);
-
-        // Acceptance: the replayed flamegraph's simulated stage totals agree
-        // with profile_summary.json's stage breakdown within 5pp.
-        let flame = ftsim_obs::collapse(&records);
-        let gpu_total = flame.total_under("gpu") as f64;
-        assert!(gpu_total > 0.0, "simulated timeline reached the log");
-        let summary_pct = |stage: &str| -> f64 {
-            let v = r
-                .json
-                .get("summary")
-                .and_then(|s| s.get("step"))
-                .and_then(|s| s.get("stage_breakdown"))
-                .and_then(|b| b.get(stage))
-                .and_then(|s| s.get("pct"));
-            match v {
-                Some(Value::Float(f)) => *f,
-                Some(Value::Int(i)) => *i as f64,
-                other => panic!("missing {stage} pct: {other:?}"),
-            }
-        };
-        for stage in ["forward", "backward", "optimizer"] {
-            let flame_pct = 100.0 * flame.total_under(&format!("gpu;{stage}")) as f64 / gpu_total;
-            let want = summary_pct(stage);
+        for (stage, us) in &lane_us {
+            let got = 100.0 * us / lane_total;
+            let want = pct(stage);
             assert!(
-                (flame_pct - want).abs() < 5.0,
-                "{stage}: flame {flame_pct:.1}% vs summary {want:.1}%"
+                (got - want).abs() < 0.1,
+                "{stage}: trace lane {got:.3}% vs summary {want:.3}%"
             );
         }
-        // The wall-clock side of the run landed in the same flame file.
-        assert!(flame.total_under("ftsim") > 0, "wall-clock stacks present");
-
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! repro all                  # run everything, write results/*.json
 //! repro fig8 table4          # run selected experiments
 //! repro --list               # list experiment ids
-//! repro profile --follow     # profile with a live in-process dashboard
-//! repro --follow             # tail a live run from a second process
 //! repro obs-diff a.json b.json   # metrics regression gate (exit 1 on fail)
 //! repro serve                # planner-as-a-service TCP endpoint
 //! repro loadgen --out results    # benchmark it, write bench_serve.json
@@ -14,22 +12,13 @@
 //!
 //! Experiments are independent, so they fan out across the engine's worker
 //! threads (`FTSIM_THREADS`); reports and artifacts are emitted in input
-//! order, byte-identical to a serial run. When the selection includes
-//! `profile`, every observability event additionally streams through a
-//! lock-free ring buffer into `<out>/profile_events.bin` while the run is
-//! live, and the log is replayed into `<out>/profile_flame.txt` afterwards.
+//! order, byte-identical to a serial run.
 
 use ftsim_experiments::cli::{self, Command};
-use ftsim_experiments::{follow, run, ARTIFACTS_KEY};
-use ftsim_obs::{BinLogWriter, RingBuffer, RingSink};
+use ftsim_experiments::{run, ARTIFACTS_KEY};
 use ftsim_sim::parallel_map;
 use serde_json::Value;
 use std::path::Path;
-use std::sync::Arc;
-use std::time::Duration;
-
-/// Event-log filename under the output directory (shared with `--follow`).
-const EVENT_LOG: &str = "profile_events.bin";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -53,111 +42,39 @@ fn main() {
                 println!("{id}");
             }
         }
-        Command::Follow { out_dir } => {
-            let path = Path::new(&out_dir).join(EVENT_LOG);
-            std::process::exit(follow::follow(&path, Duration::from_secs(60)));
-        }
         Command::ObsDiff {
             baseline,
             current,
             config,
-            log,
         } => {
-            let exit = obs_diff(&baseline, &current, &config, log.as_deref());
-            std::process::exit(exit);
+            std::process::exit(obs_diff(&baseline, &current, &config));
         }
-        Command::Serve { config, events } => {
-            std::process::exit(serve(config, events.as_deref()));
+        Command::Serve { config } => {
+            std::process::exit(serve(config));
         }
         Command::Loadgen { config } => {
             std::process::exit(loadgen(&config));
         }
-        Command::Run {
-            ids,
-            out_dir,
-            follow,
-        } => {
-            let exit = run_experiments(&ids, &out_dir, follow);
-            std::process::exit(exit);
+        Command::Run { ids, out_dir } => {
+            std::process::exit(run_experiments(&ids, &out_dir));
         }
     }
 }
 
-fn obs_diff(
-    baseline: &str,
-    current: &str,
-    config: &ftsim_obs::DiffConfig,
-    log: Option<&str>,
-) -> i32 {
+fn obs_diff(baseline: &str, current: &str, config: &ftsim_obs::DiffConfig) -> i32 {
     let load = |path: &str| {
         cli::load_snapshot(path).unwrap_or_else(|e| {
             eprintln!("obs-diff: {e}");
             std::process::exit(2);
         })
     };
-    let mut report = ftsim_obs::compare(&load(baseline), &load(current), config);
-    // `--log` annotates the report with the event stream's honesty footer:
-    // how many events the ring dropped, by category. Informational only —
-    // drops mean the *log* undercounts, not that the metrics regressed.
-    if let Some(log) = log {
-        match ftsim_obs::replay(Path::new(log)) {
-            Ok((_, Some(footer))) => {
-                report.notes.push(format!(
-                    "event log {log}: {} events written, {} dropped",
-                    footer.events_written, footer.dropped_events
-                ));
-                if footer.dropped_events > 0 {
-                    report.notes.push(format!(
-                        "dropped by category: {}",
-                        footer.dropped_by.describe()
-                    ));
-                }
-                if footer.sampler_dropped_by.total() > 0 {
-                    report.notes.push(format!(
-                        "sampler suppressed by category: {}",
-                        footer.sampler_dropped_by.describe()
-                    ));
-                }
-            }
-            Ok((_, None)) => report
-                .notes
-                .push(format!("event log {log}: no footer (unclean shutdown)")),
-            Err(e) => {
-                eprintln!("obs-diff: cannot replay {log}: {e}");
-                return 2;
-            }
-        }
-    }
+    let report = ftsim_obs::compare(&load(baseline), &load(current), config);
     print!("{}", report.to_text());
     i32::from(report.has_regressions())
 }
 
-fn serve(config: ftsim_serve::ServeConfig, events: Option<&str>) -> i32 {
+fn serve(config: ftsim_serve::ServeConfig) -> i32 {
     ftsim_obs::enable();
-    // `--events`: stream per-request phase events through the adaptive
-    // sampler + ring into a binary log while the server runs. Producers
-    // (connection threads) never block: overload is thinned by the sampler
-    // first, dropped by the ring second, and both losses are tallied
-    // exactly in the log's footer.
-    let writer = events.and_then(|path| {
-        let ring = Arc::new(RingBuffer::with_capacity(1 << 16));
-        let sampler = Arc::new(ftsim_obs::Sampler::new(ftsim_obs::SamplerConfig::default()));
-        match BinLogWriter::spawn_with_sampler(
-            path,
-            Arc::clone(&ring),
-            Duration::from_millis(25),
-            Arc::clone(&sampler),
-        ) {
-            Ok(writer) => {
-                ftsim_obs::set_sink(Arc::new(RingSink::with_sampler(ring, sampler)));
-                Some(writer)
-            }
-            Err(e) => {
-                eprintln!("warning: cannot open {path}: {e}");
-                None
-            }
-        }
-    });
     let mut server = match ftsim_serve::Server::start(config) {
         Ok(server) => server,
         Err(e) => {
@@ -173,19 +90,6 @@ fn serve(config: ftsim_serve::ServeConfig, events: Option<&str>) -> i32 {
         "serve: done — {} hits, {} misses, {} coalesced, {} evictions",
         stats.hits, stats.misses, stats.coalesced, stats.evictions
     );
-    if let Some(writer) = writer {
-        ftsim_obs::clear_sink();
-        match writer.finish() {
-            Ok(stats) => println!(
-                "[event log: {} events written, {} ring-dropped; sampler kept {} / suppressed {}]",
-                stats.events_written,
-                stats.dropped_events,
-                stats.sampled_by.total(),
-                stats.sampler_dropped_by.total()
-            ),
-            Err(e) => eprintln!("warning: event log shutdown failed: {e}"),
-        }
-    }
     0
 }
 
@@ -212,73 +116,14 @@ fn loadgen(config: &ftsim_serve::LoadgenConfig) -> i32 {
     i32::from(report.errors > 0)
 }
 
-fn run_experiments(ids: &[String], out_dir: &str, follow_requested: bool) -> i32 {
+fn run_experiments(ids: &[String], out_dir: &str) -> i32 {
     if let Err(e) = std::fs::create_dir_all(out_dir) {
         eprintln!("cannot create {out_dir}: {e}");
         return 1;
     }
 
-    // The profile experiment streams: install the ring sink and the drain
-    // thread before anything runs, so the log carries events *while* the
-    // run is in progress (that is what `--follow` tails).
-    let log_path = Path::new(out_dir).join(EVENT_LOG);
-    let streaming = ids.iter().any(|id| id == "profile");
-    let writer = if streaming {
-        let ring = Arc::new(RingBuffer::with_capacity(1 << 16));
-        match BinLogWriter::spawn(&log_path, Arc::clone(&ring), Duration::from_millis(25)) {
-            Ok(writer) => {
-                ftsim_obs::set_sink(Arc::new(RingSink::new(ring)));
-                Some(writer)
-            }
-            Err(e) => {
-                eprintln!("warning: cannot open {}: {e}", log_path.display());
-                None
-            }
-        }
-    } else {
-        None
-    };
-    if follow_requested && writer.is_none() {
-        eprintln!("warning: --follow needs the `profile` experiment in the selection; ignoring");
-    }
-    let follower = (follow_requested && writer.is_some()).then(|| {
-        let path = log_path.clone();
-        std::thread::spawn(move || follow::follow(&path, Duration::from_secs(60)))
-    });
-
     // Run the experiments in parallel, then report serially in input order.
     let results = parallel_map(ids, |id| run(id));
-
-    // Clean shutdown of the stream before reporting: drain, footer, flush —
-    // the follower (here or in another process) sees the footer and exits.
-    if let Some(writer) = writer {
-        ftsim_obs::clear_sink();
-        match writer.finish() {
-            Ok(stats) => {
-                println!(
-                    "[event log: {} — {} events, {} dropped]",
-                    log_path.display(),
-                    stats.events_written,
-                    stats.dropped_events
-                );
-                if stats.dropped_events > 0 {
-                    println!(
-                        "[event log drops by category: {}]",
-                        stats.dropped_by.describe()
-                    );
-                }
-            }
-            Err(e) => eprintln!("warning: event log shutdown failed: {e}"),
-        }
-        export_flamegraph(&log_path, out_dir);
-    }
-    if let Some(follower) = follower {
-        match follower.join() {
-            Ok(0) => {}
-            Ok(code) => eprintln!("warning: follower exited with {code}"),
-            Err(_) => eprintln!("warning: follower thread panicked"),
-        }
-    }
 
     for result in &results {
         println!("== {} ==", result.title);
@@ -327,28 +172,4 @@ fn run_experiments(ids: &[String], out_dir: &str, follow_requested: bool) -> i32
         }
     }
     0
-}
-
-/// Replays the event log into a collapsed-stack flamegraph
-/// (`profile_flame.txt`, `flamegraph.pl`/inferno-compatible). Stacks from
-/// a thinned log (ring drops or sampler suppression) carry an
-/// `_(~Nx_undercounted)` suffix so they cannot pass for complete data.
-fn export_flamegraph(log_path: &Path, out_dir: &str) {
-    let (records, footer) = match ftsim_obs::replay(log_path) {
-        Ok(replayed) => replayed,
-        Err(e) => {
-            eprintln!("warning: cannot replay {}: {e}", log_path.display());
-            return;
-        }
-    };
-    let flame = ftsim_obs::flame::collapse_annotated(&records, footer.as_ref());
-    let path = Path::new(out_dir).join("profile_flame.txt");
-    match std::fs::write(&path, flame.to_collapsed()) {
-        Ok(()) => println!(
-            "[artifact: {} — {} stacks]",
-            path.display(),
-            flame.stacks().len()
-        ),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
 }

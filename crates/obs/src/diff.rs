@@ -103,9 +103,6 @@ pub struct DiffReport {
     pub entries: Vec<Entry>,
     /// The threshold the entries were judged against.
     pub threshold: f64,
-    /// Informational context lines appended to the text report (e.g. the
-    /// event-log footer's drop breakdown). Never affect the gate.
-    pub notes: Vec<String>,
 }
 
 impl DiffReport {
@@ -146,9 +143,6 @@ impl DiffReport {
                 fmt(e.current),
                 signed_pct(e.baseline, e.current, e.rel_change),
             );
-        }
-        for note in &self.notes {
-            let _ = writeln!(out, "  note: {note}");
         }
         let failures = self.regression_count();
         if failures > 0 {
@@ -350,7 +344,6 @@ pub fn compare(baseline: &Snapshot, current: &Snapshot, config: &DiffConfig) -> 
     DiffReport {
         entries,
         threshold: config.threshold,
-        notes: Vec::new(),
     }
 }
 
@@ -421,19 +414,6 @@ mod tests {
         let report = compare(&base, &cur, &cfg);
         assert!(!report.has_regressions());
         assert_eq!(report.entries[0].status, Status::Ignored);
-    }
-
-    #[test]
-    fn notes_render_without_affecting_the_gate() {
-        let base = snap(&[("steps", 100)], &[]);
-        let mut report = compare(&base, &base, &DiffConfig::default());
-        report
-            .notes
-            .push("event log: 2 events dropped (spans=2 ...)".to_string());
-        assert!(!report.has_regressions(), "notes are informational");
-        let text = report.to_text();
-        assert!(text.contains("note: event log: 2 events dropped"), "{text}");
-        assert!(text.contains("PASS"), "{text}");
     }
 
     #[test]

@@ -13,90 +13,64 @@
 //!   ([`tree::SpanTree`]).
 //! * [`metrics`] — a global registry of named counters, gauges, and
 //!   fixed-bucket histograms with a snapshot/diff API and JSON export.
-//! * [`sink::ObsSink`] — a hook trait for shipping events elsewhere; the
-//!   built-in tracer + registry are the default destination, and an installed
-//!   sink receives every span/counter/gauge/histogram event in addition.
-//! * [`ring`] / [`binlog`] — the streaming leg: a bounded lock-free MPSC
-//!   ring-buffer sink (producers never block or allocate; overload drops and
-//!   counts) drained by a background thread into a length-prefixed binary
-//!   event log that a second process can tail while the run is live.
-//! * [`flame`] / [`diff`] — offline exporters over that log: collapsed-stack
-//!   flamegraphs and a thresholded metrics regression gate.
+//! * [`diff`] — a thresholded regression gate over two metric snapshots.
+//! * [`mod@timeseries`] / [`slo`] — windowed quantile series and SLO burn rates,
+//!   rendered as a Prometheus-style exposition for live server state.
 //!
 //! # Cost discipline
 //!
 //! Observability is **off by default** and every recording entry point starts
 //! with [`enabled()`], a single relaxed atomic load behind `#[inline]` — the
 //! disabled path is branch-predictable and allocation-free (guarded by a
-//! bench-style test in `tests/overhead.rs`). Compiling the crate without the
-//! `enabled` cargo feature removes the instrumentation bodies entirely.
+//! bench-style test in `tests/overhead.rs`).
 //!
 //! No external dependencies: JSON is emitted by hand (the workspace's vendored
 //! `serde_json` is used only in tests, to parse the output back).
 #![deny(missing_docs)]
 
-pub mod binlog;
 pub mod chrome;
 pub mod diff;
-pub mod flame;
 pub mod metrics;
-pub mod ring;
-pub mod sink;
 pub mod sketch;
 pub mod slo;
 pub mod span;
 pub mod timeseries;
 pub mod tree;
 
-pub use binlog::{replay, BinLogWriter, Footer, LogReader, LogRecord, RingSink, WriterStats};
 pub use chrome::ChromeTrace;
 pub use diff::{compare, DiffConfig, DiffReport};
-pub use flame::{collapse, FlameGraph};
 pub use metrics::{registry, Counter, Gauge, Histogram, Registry, Snapshot};
-pub use ring::{CategoryCounts, DroppedCounts, RingBuffer, RingEvent, Sampler, SamplerConfig};
-pub use sink::{clear_sink, set_sink, ObsSink};
 pub use sketch::{QuantileSketch, Sketch, SketchConfig};
 pub use slo::{SloSpec, SloStatus};
-pub use span::{drain_events, emit_span, span, span_lazy, Event, SpanGuard};
+pub use span::{drain_events, span, span_lazy, Event, SpanGuard};
 pub use timeseries::{
     default_windows, timeseries, SeriesHandle, TimeSeriesRegistry, WindowSpec, WindowStats,
     WindowedSeries,
 };
 pub use tree::SpanTree;
 
-#[cfg(feature = "enabled")]
 use std::sync::atomic::{AtomicBool, Ordering};
 
-#[cfg(feature = "enabled")]
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// True when instrumentation is compiled in *and* runtime-enabled.
+/// True when recording is runtime-enabled.
 ///
 /// This is the gate every recording entry point checks first; it is a single
 /// relaxed atomic load, so leaving instrumentation in hot paths costs one
 /// predictable branch when observability is off.
 #[inline]
 pub fn enabled() -> bool {
-    #[cfg(feature = "enabled")]
-    {
-        ENABLED.load(Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        false
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turns recording on. No-op without the `enabled` cargo feature.
+/// Turns recording on.
 pub fn enable() {
-    #[cfg(feature = "enabled")]
     ENABLED.store(true, Ordering::Relaxed);
 }
 
 /// Turns recording off. Already-recorded events and metric values persist
 /// until [`reset`].
 pub fn disable() {
-    #[cfg(feature = "enabled")]
     ENABLED.store(false, Ordering::Relaxed);
 }
 

@@ -24,7 +24,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::sink;
 use crate::sketch::{QuantileSketch, Sketch, SketchConfig};
 
 /// The process-global registry.
@@ -224,42 +223,35 @@ impl Registry {
 
     /// Cold-path convenience: record into a sketch by name, creating it on
     /// first use (unlike histograms, sketches need no per-metric bounds).
-    /// Forwards to the installed sink as a histogram-sample event, so the
-    /// binlog/follow pipeline sees sketch samples without a new wire tag.
     #[inline]
     pub fn sketch_record(&self, name: &str, value: f64) {
         if !crate::enabled() {
             return;
         }
         self.sketch(name).record(value);
-        sink::forward_histogram(name, value);
     }
 
-    /// Cold-path convenience: add to a counter by name (and forward to the
-    /// installed sink).
+    /// Cold-path convenience: add to a counter by name.
     #[inline]
     pub fn counter_add(&self, name: &str, delta: u64) {
         if !crate::enabled() {
             return;
         }
         self.counter(name).add(delta);
-        sink::forward_counter(name, delta);
     }
 
-    /// Cold-path convenience: set a gauge by name (and forward to the sink).
+    /// Cold-path convenience: set a gauge by name.
     #[inline]
     pub fn gauge_set(&self, name: &str, value: f64) {
         if !crate::enabled() {
             return;
         }
         self.gauge(name).set(value);
-        sink::forward_gauge(name, value);
     }
 
-    /// Cold-path convenience: record into a histogram by name (and forward to
-    /// the sink). The histogram must already exist (created via
-    /// [`Registry::histogram`]); otherwise the sample is dropped, because
-    /// bucket bounds can't be invented here.
+    /// Cold-path convenience: record into a histogram by name. The histogram
+    /// must already exist (created via [`Registry::histogram`]); otherwise the
+    /// sample is dropped, because bucket bounds can't be invented here.
     #[inline]
     pub fn histogram_record(&self, name: &str, value: f64) {
         if !crate::enabled() {
@@ -273,7 +265,6 @@ impl Registry {
             .cloned();
         if let Some(h) = existing {
             h.record(value);
-            sink::forward_histogram(name, value);
         }
     }
 

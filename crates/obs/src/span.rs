@@ -16,8 +16,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::sink;
-
 /// A completed span.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
@@ -159,33 +157,11 @@ impl Drop for SpanGuard {
             tid: live.tid,
             depth: live.depth,
         };
-        sink::forward_span(&event);
         with_thread(|t| {
             t.depth = t.depth.saturating_sub(1);
             t.buffer.lock().expect("span buffer").push(event);
         });
     }
-}
-
-/// Forwards a synthetic, pre-timed span straight to the installed sink.
-///
-/// Unlike [`span`], this does not buffer into the thread-local drain and the
-/// timestamps are caller-supplied — it exists for *simulated* timelines
-/// (e.g. the profiler replaying a step's modeled GPU latency into the event
-/// stream), where wall-clock guards would record pricing time, not the
-/// modeled time. No-op when observability is disabled or no sink is set.
-pub fn emit_span(cat: &'static str, name: &str, ts_ns: u64, dur_ns: u64, tid: u64, depth: u32) {
-    if !crate::enabled() {
-        return;
-    }
-    sink::forward_span(&Event {
-        name: name.to_string(),
-        cat,
-        ts_ns,
-        dur_ns,
-        tid,
-        depth,
-    });
 }
 
 /// Collects (and clears) every thread's recorded spans, ordered by start

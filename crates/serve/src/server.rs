@@ -109,9 +109,8 @@ impl Shared {
         }
     }
 
-    /// Records one traced phase duration (µs) into the registry sketch —
-    /// cumulative percentiles in `stats`, and a histogram event for the
-    /// binlog sink when one is installed (subject to its sampler).
+    /// Records one traced phase duration (µs) into the registry sketch, whose
+    /// cumulative percentiles `stats` reports.
     fn phase(&self, name: &'static str, started: Instant) -> Instant {
         ftsim_obs::registry().sketch_record(name, started.elapsed().as_secs_f64() * 1e6);
         Instant::now()

@@ -219,8 +219,8 @@ impl StepSimulator {
             seq_len,
             self.model.is_attention(),
         );
-        // Stage-share gauges so a live follower sees the Fig. 4 breakdown
-        // evolve mid-sweep, not only in the post-run summary.
+        // Stage-share gauges: the latest priced step's Fig. 4 breakdown in
+        // the metric snapshot.
         if ftsim_obs::enabled() {
             let total = trace.total_seconds();
             if total > 0.0 {

@@ -88,7 +88,7 @@ impl ThroughputSweep {
             let trace = sim.simulate_step(batch, seq_len);
             let secs = trace.total_seconds();
             let util = trace.moe_overall_utilization();
-            // Progress ticks for the live follower: done-count plus the
+            // Progress ticks for the metric snapshot: done-count plus the
             // most recent point's coordinates.
             if ftsim_obs::enabled() {
                 let registry = ftsim_obs::registry();
