@@ -7,21 +7,19 @@
 //! scenario cache relies on this — a cached answer must be bit-identical
 //! to a fresh computation of the same spec.
 //!
-//! The engine also shares [`StepSimulator`]s across scenarios that differ
-//! only in dataset, batch, price, or parallelism: simulators are pooled by
-//! (model, recipe, gpu, memory), so their internal [`TraceCache`]s keep
-//! amortizing kernel-grid construction even when the scenario-level cache
-//! misses.
-//!
-//! [`TraceCache`]: ftsim_sim::TraceCache
+//! Every query goes through one [`DistributedPlan`] per (model, recipe):
+//! plans and estimates on the scenario's fleet, sweeps on one device of
+//! the scenario's GPU (the sweep ignores the world size). A fleet of one
+//! is the paper's single-GPU Eq. 1 and step simulation, bit for bit. Each
+//! plan pools one simulator per device spec, so its internal trace caches
+//! keep amortizing kernel-grid construction across scenarios that differ
+//! only in dataset, batch, price, world size, link, or strategy, even when
+//! the scenario-level cache misses.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use ftsim_cost::DistributedPlan;
-use ftsim_gpu::CostModel;
-use ftsim_model::MemoryModel;
-use ftsim_sim::{Stage, StepSimulator};
+use ftsim_cost::{DistributedPlan, Topology};
 use serde_json::{json, Value};
 
 use crate::spec::{QueryKind, ScenarioSpec};
@@ -29,12 +27,8 @@ use crate::spec::{QueryKind, ScenarioSpec};
 /// Stateful query engine. Cheap to share behind an `Arc`; all methods take
 /// `&self`.
 pub struct Planner {
-    /// Simulators pooled by (model, recipe, gpu, mem) so scenario-cache
-    /// misses still hit each simulator's internal trace cache.
-    sims: Mutex<HashMap<String, Arc<StepSimulator>>>,
     /// Distributed plans pooled by (model, recipe); each plan pools its own
-    /// per-placement simulators, so multi-GPU scenarios that differ only in
-    /// world size, link, or strategy share priced traces.
+    /// per-device simulators.
     plans: Mutex<HashMap<String, Arc<DistributedPlan>>>,
 }
 
@@ -58,38 +52,58 @@ fn err(spec: &ScenarioSpec, message: &str) -> String {
     .to_string()
 }
 
+const NO_FIT: &str = "model does not fit on this GPU at batch 1";
+
+fn no_price(spec: &ScenarioSpec) -> String {
+    err(
+        spec,
+        &format!(
+            "no {} price for {} (pass price_per_hour to override)",
+            spec.provider.key(),
+            spec.gpu
+        ),
+    )
+}
+
+/// Wall-clock hours and dollars for `total_queries` at `qps` on `gpus`
+/// devices billed at `rate` each, or a domain error when either overflows.
+fn cost(
+    spec: &ScenarioSpec,
+    total_queries: f64,
+    qps: f64,
+    rate: f64,
+    gpus: usize,
+) -> Result<(f64, f64), String> {
+    let hours = total_queries / qps / 3600.0;
+    let usd = hours * rate * gpus as f64;
+    if hours.is_finite() && usd.is_finite() {
+        Ok((hours, usd))
+    } else {
+        Err(err(
+            spec,
+            "cost is not finite (too many epochs or too high a price)",
+        ))
+    }
+}
+
 impl Planner {
-    /// A planner with an empty simulator pool.
+    /// A planner with an empty plan pool.
     pub fn new() -> Self {
         Planner {
-            sims: Mutex::new(HashMap::new()),
             plans: Mutex::new(HashMap::new()),
         }
     }
 
-    fn simulator(&self, spec: &ScenarioSpec) -> Arc<StepSimulator> {
-        let key = format!(
-            "{}|{}|{}|{}",
-            spec.model, spec.recipe, spec.gpu, spec.gpu_mem_gb
-        );
-        let mut sims = self.sims.lock().unwrap();
-        Arc::clone(sims.entry(key).or_insert_with(|| {
-            Arc::new(StepSimulator::new(
-                spec.model_config(),
-                spec.finetune_config(),
-                CostModel::new(spec.gpu_spec()),
-            ))
-        }))
-    }
-
-    /// Number of pooled simulators (distinct model × recipe × gpu combos).
+    /// Number of pooled simulators: the sum over pooled plans of their
+    /// distinct device specs (catalog GPU × memory override).
     pub fn simulator_count(&self) -> usize {
-        self.sims.lock().unwrap().len()
+        let plans = self.plans.lock().expect("plan pool");
+        plans.values().map(|plan| plan.simulator_count()).sum()
     }
 
     fn plan_for(&self, spec: &ScenarioSpec) -> Arc<DistributedPlan> {
         let key = format!("{}|{}", spec.model, spec.recipe);
-        let mut plans = self.plans.lock().unwrap();
+        let mut plans = self.plans.lock().expect("plan pool");
         Arc::clone(plans.entry(key).or_insert_with(|| {
             Arc::new(DistributedPlan::new(
                 spec.model_config(),
@@ -99,315 +113,196 @@ impl Planner {
     }
 
     /// Number of pooled distributed plans (distinct model × recipe combos
-    /// that answered a multi-GPU query).
+    /// that answered any query).
     pub fn plan_count(&self) -> usize {
-        self.plans.lock().unwrap().len()
+        self.plans.lock().expect("plan pool").len()
     }
 
     /// Computes the answer for `spec`. Deterministic: equal canonical specs
     /// produce byte-identical output. Never panics on domain errors — those
     /// return an `"ok": false` answer (which is cacheable like any other).
     pub fn answer(&self, spec: &ScenarioSpec) -> String {
+        let plan = self.plan_for(spec);
         match spec.query {
-            QueryKind::Plan => self.answer_plan(spec),
-            QueryKind::Estimate => self.answer_estimate(spec),
-            QueryKind::Sweep => self.answer_sweep(spec),
+            QueryKind::Plan => answer_plan(spec, &plan, &spec.topology()),
+            QueryKind::Estimate => answer_estimate(spec, &plan, &spec.topology()),
+            QueryKind::Sweep => answer_sweep(spec, &plan, &Topology::single(spec.gpu_spec())),
         }
     }
+}
 
-    fn answer_plan(&self, spec: &ScenarioSpec) -> String {
-        if spec.gpus > 1 {
-            return self.answer_plan_distributed(spec);
-        }
-        let model = spec.model_config();
-        let ft = spec.finetune_config();
-        let gpu = spec.gpu_spec();
-        let mem = MemoryModel::new(&model, &ft);
-        let max_batch = mem.max_batch_size(&gpu, spec.seq_len);
-        let batch = if spec.batch > 0 {
-            spec.batch
-        } else {
-            max_batch
-        };
-        let fits = max_batch >= 1 && batch <= max_batch;
-        let bd = mem.breakdown(batch.max(1), spec.seq_len);
-        json!({
-            "ok": true,
-            "query": "plan",
-            "scenario": spec.canonical_key(),
-            "model": model.name.clone(),
-            "recipe": spec.recipe.clone(),
-            "gpu": gpu.name,
-            "gpu_mem_gb": gpu.mem_gb,
-            "seq_len": spec.seq_len as i64,
-            "trainable_params": ft.trainable_params(&model) as i64,
-            "trainable_pct": ft.trainable_pct(&model),
-            "max_batch": max_batch as i64,
-            "batch": batch as i64,
-            "fits": fits,
-            "memory_gb": json!({
-                "weights": bd.weights_gb,
-                "adapters": bd.adapters_gb,
-                "gradients": bd.gradients_gb,
-                "optimizer": bd.optimizer_gb,
-                "overhead": bd.overhead_gb,
-                "activations": bd.activations_gb,
-                "total": bd.total_gb(),
-            }),
-        })
-        .to_string()
+/// Memory planning: Eq. 1 over the LLMem-style partition. The answer
+/// reports the global max batch, the single-device footprint at the
+/// resolved batch, and one rank's sharded / replicated split.
+fn answer_plan(spec: &ScenarioSpec, plan: &DistributedPlan, topo: &Topology) -> String {
+    let model = plan.model();
+    let ft = plan.finetune();
+    let gpu = &topo.devices()[0]; // homogeneous fleet: every rank equal
+    let max_batch = plan.max_batch(topo, spec.parallelism, spec.seq_len);
+    let batch = Some(spec.batch).filter(|&b| b > 0).unwrap_or(max_batch);
+    let fits = max_batch >= 1 && batch <= max_batch;
+    let bd = plan.memory().breakdown(batch.max(1), spec.seq_len);
+    let part = plan.partition(topo, spec.parallelism, batch.max(1), spec.seq_len);
+    let rank = &part.per_device[0];
+    json!({
+        "ok": true,
+        "query": "plan",
+        "scenario": spec.canonical_key(),
+        "model": model.name.clone(),
+        "recipe": spec.recipe.clone(),
+        "gpu": gpu.name.clone(),
+        "gpu_mem_gb": gpu.mem_gb,
+        "world_size": spec.gpus as i64,
+        "parallelism": spec.parallelism.key(),
+        "link": spec.link.clone(),
+        "seq_len": spec.seq_len as i64,
+        "trainable_params": ft.trainable_params(model) as i64,
+        "trainable_pct": ft.trainable_pct(model),
+        "max_batch": max_batch as i64,
+        "batch": batch as i64,
+        "fits": fits,
+        "memory_gb": json!({
+            "weights": bd.weights_gb,
+            "adapters": bd.adapters_gb,
+            "gradients": bd.gradients_gb,
+            "optimizer": bd.optimizer_gb,
+            "overhead": bd.overhead_gb,
+            "activations": bd.activations_gb,
+            "total": bd.total_gb(),
+        }),
+        "per_device_memory_gb": json!({
+            "sharded": rank.sharded_gb,
+            "replicated": rank.replicated_gb,
+            "total": rank.total_gb(),
+        }),
+    })
+    .to_string()
+}
+
+/// Cost estimation: the batch is the **global** batch, resolved against
+/// the partitioned Eq. 1 maximum, and the step splits into compute + comm
+/// + bubble (both zero on one device).
+fn answer_estimate(spec: &ScenarioSpec, plan: &DistributedPlan, topo: &Topology) -> String {
+    let par = spec.parallelism;
+    let max_batch = plan.max_batch(topo, par, spec.seq_len);
+    if max_batch == 0 {
+        return err(spec, NO_FIT);
     }
-
-    /// Multi-GPU memory planning: Eq. 1 over the LLMem-style partition.
-    /// The answer reports the global max batch plus one rank's sharded /
-    /// replicated footprint split.
-    fn answer_plan_distributed(&self, spec: &ScenarioSpec) -> String {
-        let plan = self.plan_for(spec);
-        let topo = spec.topology();
-        let model = spec.model_config();
-        let ft = spec.finetune_config();
-        let max_batch = plan.max_batch(&topo, spec.parallelism, spec.seq_len);
-        let batch = if spec.batch > 0 {
-            spec.batch
-        } else {
-            max_batch
-        };
-        let fits = max_batch >= 1 && batch <= max_batch;
-        let part = plan.partition(&topo, spec.parallelism, batch.max(1), spec.seq_len);
-        let rank = &part.per_device[0]; // homogeneous fleet: every rank equal
-        json!({
-            "ok": true,
-            "query": "plan",
-            "scenario": spec.canonical_key(),
-            "model": model.name.clone(),
-            "recipe": spec.recipe.clone(),
-            "gpu": spec.gpu.clone(),
-            "world_size": spec.gpus as i64,
-            "parallelism": spec.parallelism.key(),
-            "link": spec.link.clone(),
-            "seq_len": spec.seq_len as i64,
-            "trainable_params": ft.trainable_params(&model) as i64,
-            "max_batch": max_batch as i64,
-            "batch": batch as i64,
-            "fits": fits,
-            "per_device_memory_gb": json!({
-                "capacity": rank.mem_gb,
-                "sharded": rank.sharded_gb,
-                "replicated": rank.replicated_gb,
-                "total": rank.total_gb(),
-            }),
-            "single_device_total_gb": part.single_total_gb(),
-        })
-        .to_string()
-    }
-
-    /// Resolves the concrete batch for `spec`, or a domain error.
-    fn resolve_batch(&self, spec: &ScenarioSpec) -> Result<(usize, usize), String> {
-        let model = spec.model_config();
-        let ft = spec.finetune_config();
-        let mem = MemoryModel::new(&model, &ft);
-        let max_batch = mem.max_batch_size(&spec.gpu_spec(), spec.seq_len);
-        if max_batch == 0 {
-            return Err(err(spec, "model does not fit on this GPU at batch 1"));
-        }
-        let batch = if spec.batch > 0 {
-            spec.batch
-        } else {
-            max_batch
-        };
-        if batch > max_batch {
-            return Err(err(
-                spec,
-                &format!("batch {batch} exceeds the Eq. 1 maximum {max_batch}"),
-            ));
-        }
-        Ok((batch, max_batch))
-    }
-
-    fn no_price(&self, spec: &ScenarioSpec) -> String {
-        err(
+    let batch = Some(spec.batch).filter(|&b| b > 0).unwrap_or(max_batch);
+    if batch > max_batch {
+        return err(
             spec,
-            &format!(
-                "no {} price for {} (pass price_per_hour to override)",
-                spec.provider.key(),
-                spec.gpu
-            ),
-        )
+            &format!("batch {batch} exceeds the Eq. 1 maximum {max_batch}"),
+        );
     }
+    let Some(usd_per_hour) = spec.usd_per_hour() else {
+        return no_price(spec);
+    };
+    let step = plan.simulate_step(topo, par, batch, spec.seq_len);
+    let qps = step.queries_per_second();
+    let ds = spec.dataset_spec();
+    // In f64, so huge epoch counts cannot overflow.
+    let total_queries = spec.epochs as f64 * ds.num_queries as f64;
+    let (hours, usd) = match cost(spec, total_queries, qps, usd_per_hour, spec.gpus) {
+        Ok(priced) => priced,
+        Err(answer) => return answer,
+    };
+    json!({
+        "ok": true,
+        "query": "estimate",
+        "scenario": spec.canonical_key(),
+        "model": plan.model().name.clone(),
+        "recipe": spec.recipe.clone(),
+        "gpu": spec.gpu.clone(),
+        "dataset": ds.name,
+        "seq_len": spec.seq_len as i64,
+        "batch": batch as i64,
+        "per_device_batch": step.per_device_batch as i64,
+        "max_batch": max_batch as i64,
+        "world_size": spec.gpus as i64,
+        "parallelism": par.key(),
+        "link": spec.link.clone(),
+        "step_seconds": step.total_seconds(),
+        "compute_seconds": step.compute_seconds,
+        "comm_seconds": step.comm_seconds,
+        "bubble_seconds": step.bubble_seconds,
+        "gpus": spec.gpus as i64,
+        "queries_per_second": qps,
+        "scaling_efficiency": step.compute_fraction(),
+        "epochs": spec.epochs as i64,
+        "total_queries": total_queries,
+        "usd_per_hour": usd_per_hour,
+        "hours": hours,
+        "usd": usd,
+    })
+    .to_string()
+}
 
-    fn answer_estimate(&self, spec: &ScenarioSpec) -> String {
-        if spec.gpus > 1 {
-            return self.answer_estimate_distributed(spec);
-        }
-        let (batch, max_batch) = match self.resolve_batch(spec) {
-            Ok(pair) => pair,
-            Err(answer) => return answer,
-        };
-        let Some(usd_per_hour) = spec.usd_per_hour() else {
-            return self.no_price(spec);
-        };
-        let sim = self.simulator(spec);
-        let trace = sim.simulate_step(batch, spec.seq_len);
-        let step_seconds = trace.total_seconds();
-        let model = spec.model_config();
-        let qps = batch as f64 / step_seconds;
-        let ds = spec.dataset_spec();
-        let total_queries = (spec.epochs * ds.num_queries) as f64;
-        let hours = total_queries / qps / 3600.0;
-        let usd = hours * usd_per_hour;
-        json!({
-            "ok": true,
-            "query": "estimate",
-            "scenario": spec.canonical_key(),
-            "model": model.name,
-            "recipe": spec.recipe.clone(),
-            "gpu": spec.gpu.clone(),
-            "dataset": ds.name,
-            "seq_len": spec.seq_len as i64,
-            "batch": batch as i64,
-            "max_batch": max_batch as i64,
-            "step_seconds": step_seconds,
-            "forward_seconds": trace.stage_seconds(Stage::Forward),
-            "backward_seconds": trace.stage_seconds(Stage::Backward),
-            "optimizer_seconds": trace.stage_seconds(Stage::Optimizer),
-            "kernels_per_step": trace.kernel_count() as i64,
-            "gpus": 1,
-            "queries_per_second": qps,
-            "scaling_efficiency": 1.0,
-            "epochs": spec.epochs as i64,
-            "total_queries": total_queries,
-            "usd_per_hour": usd_per_hour,
-            "hours": hours,
-            "usd": usd,
-        })
-        .to_string()
+/// Batch sweep on `device`, a single-GPU topology: throughput at evenly
+/// spaced feasible batch sizes, and the cost at the fastest one.
+fn answer_sweep(spec: &ScenarioSpec, plan: &DistributedPlan, device: &Topology) -> String {
+    let par = spec.parallelism;
+    let max_batch = plan.max_batch(device, par, spec.seq_len);
+    if max_batch == 0 {
+        return err(spec, NO_FIT);
     }
-
-    /// Multi-GPU estimate through the distributed step simulator: the
-    /// batch is the **global** batch, resolved against the partitioned
-    /// Eq. 1 maximum, and the step splits into compute + comm + bubble.
-    fn answer_estimate_distributed(&self, spec: &ScenarioSpec) -> String {
-        let plan = self.plan_for(spec);
-        let topo = spec.topology();
-        let par = spec.parallelism;
-        let max_batch = plan.max_batch(&topo, par, spec.seq_len);
-        if max_batch == 0 {
-            return err(spec, "model does not fit on this fleet at global batch 1");
-        }
-        let batch = if spec.batch > 0 {
-            spec.batch
-        } else {
-            max_batch
-        };
-        if batch > max_batch {
-            return err(
-                spec,
-                &format!("global batch {batch} exceeds the partitioned Eq. 1 maximum {max_batch}"),
-            );
-        }
-        let Some(usd_per_hour) = spec.usd_per_hour() else {
-            return self.no_price(spec);
-        };
-        let step = plan.simulate_step(&topo, par, batch, spec.seq_len);
-        let qps = step.queries_per_second();
-        let ds = spec.dataset_spec();
-        let total_queries = (spec.epochs * ds.num_queries) as f64;
-        let hours = total_queries / qps / 3600.0;
-        let usd = hours * usd_per_hour * spec.gpus as f64;
-        json!({
-            "ok": true,
-            "query": "estimate",
-            "scenario": spec.canonical_key(),
-            "model": plan.model().name.clone(),
-            "recipe": spec.recipe.clone(),
-            "gpu": spec.gpu.clone(),
-            "dataset": ds.name,
-            "seq_len": spec.seq_len as i64,
-            "batch": batch as i64,
-            "per_device_batch": step.per_device_batch as i64,
-            "max_batch": max_batch as i64,
-            "world_size": spec.gpus as i64,
-            "parallelism": spec.parallelism.key(),
-            "link": spec.link.clone(),
-            "step_seconds": step.total_seconds(),
-            "compute_seconds": step.compute_seconds,
-            "comm_seconds": step.comm_seconds,
-            "bubble_seconds": step.bubble_seconds,
-            "gpus": spec.gpus as i64,
-            "queries_per_second": qps,
-            "scaling_efficiency": step.compute_fraction(),
-            "epochs": spec.epochs as i64,
-            "total_queries": total_queries,
-            "usd_per_hour": usd_per_hour,
-            "hours": hours,
-            "usd": usd,
-        })
-        .to_string()
-    }
-
-    fn answer_sweep(&self, spec: &ScenarioSpec) -> String {
-        let model = spec.model_config();
-        let ft = spec.finetune_config();
-        let mem = MemoryModel::new(&model, &ft);
-        let max_batch = mem.max_batch_size(&spec.gpu_spec(), spec.seq_len);
-        if max_batch == 0 {
-            return err(spec, "model does not fit on this GPU at batch 1");
-        }
-        let sim = self.simulator(spec);
-        // Endpoints plus an even sample of the interior, deduplicated.
-        let mut batches: Vec<usize> = if max_batch <= SWEEP_MAX_POINTS {
-            (1..=max_batch).collect()
-        } else {
-            (0..SWEEP_MAX_POINTS)
-                .map(|i| 1 + i * (max_batch - 1) / (SWEEP_MAX_POINTS - 1))
-                .collect()
-        };
-        batches.dedup();
-        let mut best: Option<(usize, f64)> = None;
-        let points: Vec<Value> = batches
-            .iter()
-            .map(|&batch| {
-                let trace = sim.simulate_step(batch, spec.seq_len);
-                let step_seconds = trace.total_seconds();
-                let qps = batch as f64 / step_seconds;
-                if best.is_none_or(|(_, b)| qps > b) {
-                    best = Some((batch, qps));
-                }
-                json!({
-                    "batch": batch as i64,
-                    "step_seconds": step_seconds,
-                    "queries_per_second": qps,
-                })
-            })
-            .collect();
-        let (best_batch, best_qps) = best.expect("max_batch >= 1 yields at least one point");
-        let ds = spec.dataset_spec();
-        let total_queries = (spec.epochs * ds.num_queries) as f64;
-        let cost = spec.usd_per_hour().map(|rate| {
-            let hours = total_queries / best_qps / 3600.0;
+    // Endpoints plus an even sample of the interior, deduplicated.
+    let mut batches: Vec<usize> = if max_batch <= SWEEP_MAX_POINTS {
+        (1..=max_batch).collect()
+    } else {
+        (0..SWEEP_MAX_POINTS)
+            .map(|i| 1 + i * (max_batch - 1) / (SWEEP_MAX_POINTS - 1))
+            .collect()
+    };
+    batches.dedup();
+    let mut best: Option<(usize, f64)> = None;
+    let points: Vec<Value> = batches
+        .iter()
+        .map(|&batch| {
+            let step_seconds = plan
+                .simulate_step(device, par, batch, spec.seq_len)
+                .total_seconds();
+            let qps = batch as f64 / step_seconds;
+            if best.is_none_or(|(_, b)| qps > b) {
+                best = Some((batch, qps));
+            }
             json!({
+                "batch": batch as i64,
+                "step_seconds": step_seconds,
+                "queries_per_second": qps,
+            })
+        })
+        .collect();
+    let (best_batch, best_qps) = best.expect("max_batch >= 1 yields at least one point");
+    let ds = spec.dataset_spec();
+    let total_queries = spec.epochs as f64 * ds.num_queries as f64;
+    let cost_at_best = match spec.usd_per_hour() {
+        Some(rate) => match cost(spec, total_queries, best_qps, rate, 1) {
+            Ok((hours, usd)) => json!({
                 "usd_per_hour": rate,
                 "hours": hours,
-                "usd": hours * rate,
-            })
-        });
-        json!({
-            "ok": true,
-            "query": "sweep",
-            "scenario": spec.canonical_key(),
-            "model": model.name,
-            "recipe": spec.recipe.clone(),
-            "gpu": spec.gpu.clone(),
-            "dataset": ds.name,
-            "seq_len": spec.seq_len as i64,
-            "max_batch": max_batch as i64,
-            "points": points,
-            "best_batch": best_batch as i64,
-            "best_qps": best_qps,
-            "cost_at_best": cost,
-        })
-        .to_string()
-    }
+                "usd": usd,
+            }),
+            Err(answer) => return answer,
+        },
+        None => Value::Null,
+    };
+    json!({
+        "ok": true,
+        "query": "sweep",
+        "scenario": spec.canonical_key(),
+        "model": plan.model().name.clone(),
+        "recipe": spec.recipe.clone(),
+        "gpu": spec.gpu.clone(),
+        "dataset": ds.name,
+        "seq_len": spec.seq_len as i64,
+        "max_batch": max_batch as i64,
+        "points": points,
+        "best_batch": best_batch as i64,
+        "best_qps": best_qps,
+        "cost_at_best": cost_at_best,
+    })
+    .to_string()
 }
 
 #[cfg(test)]
@@ -474,9 +369,33 @@ mod tests {
     #[test]
     fn oversized_batch_is_rejected_with_the_limit() {
         let planner = Planner::new();
-        let answer = planner.answer(&spec(r#"{"query":"estimate","batch":100000}"#));
-        let doc = serde_json::from_str(&answer).unwrap();
-        assert_eq!(doc.get("ok"), Some(&Value::Bool(false)));
+        // One wording whatever the world size.
+        for world in [1, 4] {
+            let answer = planner.answer(&spec(&format!(
+                r#"{{"query":"estimate","batch":100000,"world_size":{world}}}"#
+            )));
+            let doc = serde_json::from_str(&answer).unwrap();
+            assert_eq!(doc.get("ok"), Some(&Value::Bool(false)));
+            let Some(Value::String(error)) = doc.get("error") else {
+                panic!("error missing: {answer}");
+            };
+            assert!(
+                error.starts_with("batch 100000 exceeds the Eq. 1 maximum"),
+                "{error}"
+            );
+        }
+    }
+
+    #[test]
+    fn overflowing_cost_is_a_domain_error() {
+        let planner = Planner::new();
+        for query in ["estimate", "sweep"] {
+            let answer = planner.answer(&spec(&format!(
+                r#"{{"query":"{query}","price_per_hour":1e308,"epochs":1000000}}"#
+            )));
+            let doc = serde_json::from_str(&answer).unwrap();
+            assert_eq!(doc.get("ok"), Some(&Value::Bool(false)), "{answer}");
+        }
     }
 
     #[test]
@@ -551,7 +470,11 @@ mod tests {
             1,
             "same model|recipe|gpu shares one simulator"
         );
+        planner.answer(&spec(r#"{"query":"estimate","world_size":4}"#));
+        assert_eq!(planner.simulator_count(), 1, "a fleet of A40s reuses it");
         planner.answer(&spec(r#"{"query":"estimate","gpu":"h100-80"}"#));
-        assert_eq!(planner.simulator_count(), 2);
+        planner.answer(&spec(r#"{"query":"estimate","gpu_mem_gb":120}"#));
+        assert_eq!(planner.simulator_count(), 3, "one per device spec");
+        assert_eq!(planner.plan_count(), 1);
     }
 }

@@ -14,8 +14,9 @@
 //! 1. a sharded scenario-hash LRU cache ([`ScenarioCache`]) that returns
 //!    previously computed answers byte-for-byte and coalesces concurrent
 //!    misses onto a single computation,
-//! 2. a simulator pool inside [`Planner`] that shares per-combo
-//!    `TraceCache`s across scenarios differing only in dataset or price,
+//! 2. a plan pool inside [`Planner`]: one `DistributedPlan` per model ×
+//!    recipe, whose per-device simulators share their `TraceCache`s across
+//!    scenarios differing only in dataset, batch, price, or fleet shape,
 //! 3. pipelined line framing in the server, so a batch of questions costs
 //!    one syscall round-trip.
 //!

@@ -27,7 +27,8 @@ pub enum QueryKind {
     Plan,
     /// Cost estimation: simulate one step, derive throughput, hours, USD.
     Estimate,
-    /// Batch sweep: throughput/cost at every feasible batch size.
+    /// Batch sweep: throughput/cost at every feasible batch size, on one
+    /// device of the scenario's GPU (the world size does not enter).
     Sweep,
 }
 
@@ -53,6 +54,12 @@ impl QueryKind {
         }
     }
 }
+
+/// Largest accepted world size (`gpus` / `world_size`). The comm model
+/// prices one flat link tier, and every fleet is materialized device by
+/// device, so larger fleets are rejected at parse time rather than
+/// answered or allowed to exhaust memory.
+pub const MAX_WORLD_SIZE: usize = 1024;
 
 /// Fine-tuning recipe names accepted in specs, mapping onto the paper's
 /// four configurations.
@@ -82,7 +89,7 @@ pub struct ScenarioSpec {
     /// Fine-tuning epochs.
     pub epochs: usize,
     /// World size — the device count of the fleet (`"gpus"` and
-    /// `"world_size"` are aliases on the wire).
+    /// `"world_size"` are aliases on the wire), 1 to [`MAX_WORLD_SIZE`].
     pub gpus: usize,
     /// Parallelism strategy for multi-GPU scenarios (default data).
     pub parallelism: Parallelism,
@@ -192,6 +199,9 @@ impl ScenarioSpec {
             if n == 0 {
                 return Err(format!("{field} must be at least 1"));
             }
+            if n > MAX_WORLD_SIZE {
+                return Err(format!("{field} must be at most {MAX_WORLD_SIZE}, got {n}"));
+            }
             match gpus {
                 Some((prev, prev_field)) if *prev != n => Err(format!(
                     "conflicting {prev_field}={prev} and {field}={n} (they are aliases)"
@@ -213,7 +223,12 @@ impl ScenarioSpec {
                         .ok_or_else(|| format!("unknown gpu {name:?} (want one of the catalog)"))?;
                     gpu = Some(spec.name);
                 }
-                "gpu_mem_gb" => gpu_mem_gb = as_usize(key, value)? as u32,
+                "gpu_mem_gb" => {
+                    let gb = as_usize(key, value)?;
+                    gpu_mem_gb = u32::try_from(gb).map_err(|_| {
+                        format!("field {key:?} must be at most {}, got {gb}", u32::MAX)
+                    })?;
+                }
                 "dataset" => dataset = Some(canonical_dataset(as_str(key, value)?)?.to_string()),
                 "seq_len" => seq_len = as_usize(key, value)?,
                 "batch" => batch = as_usize(key, value)?,
@@ -506,6 +521,10 @@ mod tests {
             r#"{"query":"plan","epochs":0}"#,
             r#"{"query":"plan","gpus":0}"#,
             r#"{"query":"plan","world_size":0}"#,
+            r#"{"query":"plan","world_size":1025}"#,
+            r#"{"query":"plan","gpus":1025}"#,
+            r#"{"query":"plan","gpu_mem_gb":4294967296}"#,
+            r#"{"query":"plan","gpu_mem_gb":4294967376}"#,
             r#"{"query":"plan","parallelism":"pipeline"}"#,
             r#"{"query":"plan","link":"carrier-pigeon"}"#,
             r#"{"query":"plan","price_per_hour":-1}"#,
@@ -514,5 +533,11 @@ mod tests {
         ] {
             assert!(ScenarioSpec::parse_str(bad).is_err(), "accepted: {bad}");
         }
+        let too_big = ScenarioSpec::parse_str(r#"{"query":"plan","world_size":1025}"#).unwrap_err();
+        assert!(too_big.contains("at most 1024"), "{too_big}");
+        let max = ScenarioSpec::parse_str(r#"{"query":"plan","world_size":1024}"#).unwrap();
+        assert_eq!(max.gpus, MAX_WORLD_SIZE);
+        let mem = ScenarioSpec::parse_str(r#"{"query":"plan","gpu_mem_gb":4294967295}"#).unwrap();
+        assert_eq!(mem.gpu_mem_gb, u32::MAX);
     }
 }
