@@ -192,21 +192,6 @@ impl MemoryPartition {
     }
 }
 
-/// Obs gauges for the comm/compute/bubble split; registered on first use.
-fn dist_obs() -> &'static [ftsim_obs::Gauge; 4] {
-    use std::sync::OnceLock;
-    static GAUGES: OnceLock<[ftsim_obs::Gauge; 4]> = OnceLock::new();
-    GAUGES.get_or_init(|| {
-        let registry = ftsim_obs::registry();
-        [
-            registry.gauge("dist.step.compute_s"),
-            registry.gauge("dist.step.comm_s"),
-            registry.gauge("dist.step.bubble_s"),
-            registry.gauge("dist.step.comm_pct"),
-        ]
-    })
-}
-
 /// A distributed planning context for one (model, recipe) pair: the
 /// single-GPU [`StepSimulator`]s it pools (one per distinct device spec,
 /// each memoizing its own traces) plus the communication and memory
@@ -386,7 +371,7 @@ impl DistributedPlan {
         if n == 1 {
             // Degenerate placement: the single-GPU path, unchanged.
             let sim = self.simulator(&topology.devices()[0]);
-            let step = DistributedStep {
+            return DistributedStep {
                 world_size: 1,
                 parallelism,
                 global_batch,
@@ -396,8 +381,6 @@ impl DistributedPlan {
                 comm_seconds: 0.0,
                 bubble_seconds: 0.0,
             };
-            self.publish_gauges(&step);
-            return step;
         }
         let per_device_batch = match parallelism {
             Parallelism::Data => global_batch.div_ceil(n),
@@ -447,7 +430,7 @@ impl DistributedPlan {
                 / n as f64;
             compute_seconds - mean
         };
-        let step = DistributedStep {
+        DistributedStep {
             world_size: n,
             parallelism,
             global_batch,
@@ -456,20 +439,6 @@ impl DistributedPlan {
             compute_seconds,
             comm_seconds: self.comm_seconds(topology, parallelism, global_batch, seq_len),
             bubble_seconds,
-        };
-        self.publish_gauges(&step);
-        step
-    }
-
-    /// Mirrors the comm/compute/bubble split into the obs registry so the
-    /// cluster experiment's snapshot sees it.
-    fn publish_gauges(&self, step: &DistributedStep) {
-        if ftsim_obs::enabled() {
-            let [compute, comm, bubble, comm_pct] = dist_obs();
-            compute.set(step.compute_seconds);
-            comm.set(step.comm_seconds);
-            bubble.set(step.bubble_seconds);
-            comm_pct.set(100.0 * step.comm_fraction());
         }
     }
 

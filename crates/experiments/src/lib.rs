@@ -61,11 +61,12 @@ pub fn experiment_ids() -> Vec<&'static str> {
     ]
 }
 
-/// Extra experiment ids that `repro` accepts but `repro all` skips: these
-/// measure the simulator itself (wall-clock timings), not the paper, so
-/// they would make the default artifact set nondeterministic.
+/// Extra experiment ids that `repro` accepts but `repro all` skips:
+/// `profile` traces the simulator itself (wall-clock span timings), not
+/// the paper, so it would make the default artifact set nondeterministic.
+/// Performance is measured by the repository benchmark (`ftbench/`).
 pub fn extra_experiment_ids() -> Vec<&'static str> {
-    vec!["bench_engine", "profile"]
+    vec!["profile"]
 }
 
 /// Key under which an experiment's JSON may carry extra named artifacts
@@ -101,7 +102,6 @@ pub fn run(id: &str) -> ExperimentResult {
         "scaleout" => scaleout(),
         "cluster" => cluster(),
         "alltoall" => alltoall(),
-        "bench_engine" => bench_engine(),
         "profile" => profile(),
         other => panic!("unknown experiment id {other:?}"),
     }
@@ -1294,121 +1294,6 @@ fn alltoall() -> ExperimentResult {
     }
 }
 
-// ------------------------------------------------- Performance engine bench
-
-/// Benchmarks the simulator itself on a Fig. 8-style sweep: serial naive
-/// emission vs. serial memoized traces vs. the multi-threaded engine.
-/// Excluded from `repro all` because its output is wall-clock timings.
-fn bench_engine() -> ExperimentResult {
-    use std::time::Instant;
-
-    let sim = sim_for(&models::mixtral_8x7b(), true, GpuSpec::a40());
-    let seq = 79;
-    let batches: Vec<usize> = (1..=16).collect();
-    let threads = ftsim_sim::thread_count();
-
-    // Serial, naive per-layer emission (no trace cache).
-    let t = Instant::now();
-    let naive: Vec<f64> = batches
-        .iter()
-        .map(|&b| sim.simulate_step_naive(b, seq).total_seconds())
-        .collect();
-    let naive_s = t.elapsed().as_secs_f64();
-
-    // Serial, memoized layer traces (fresh cache via clone).
-    let memo_sim = sim.clone();
-    let t = Instant::now();
-    let memo: Vec<f64> = batches
-        .iter()
-        .map(|&b| memo_sim.simulate_step(b, seq).total_seconds())
-        .collect();
-    let memo_s = t.elapsed().as_secs_f64();
-    let stats = memo_sim.cache_stats();
-
-    // Memoized + fanned across the engine's worker threads.
-    let par_sim = sim.clone();
-    let t = Instant::now();
-    let par: Vec<f64> =
-        ftsim_sim::parallel_map(&batches, |&b| par_sim.simulate_step(b, seq).total_seconds());
-    let par_s = t.elapsed().as_secs_f64();
-
-    let identical = naive
-        .iter()
-        .zip(&memo)
-        .all(|(a, b)| a.to_bits() == b.to_bits())
-        && naive
-            .iter()
-            .zip(&par)
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-    assert!(
-        identical,
-        "memoized/parallel results diverged from naive emission"
-    );
-
-    let probe = sim.simulate_step(8, seq);
-    let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "sweep: Mixtral-S/CS on A40, {} steps (bs 1..={}), seq {seq}, {threads} thread(s)",
-        batches.len(),
-        batches.len()
-    );
-    let _ = writeln!(
-        text,
-        "kernels per step (bs8): {} emitted from {} unique ({:.0}x run-length compression)",
-        probe.kernel_count(),
-        probe.unique_kernel_count(),
-        probe.kernel_count() as f64 / probe.unique_kernel_count() as f64
-    );
-    let _ = writeln!(text, "serial naive      {:>9.2} ms", naive_s * 1e3);
-    let _ = writeln!(
-        text,
-        "serial memoized   {:>9.2} ms  ({:.1}x vs naive)",
-        memo_s * 1e3,
-        naive_s / memo_s
-    );
-    let _ = writeln!(
-        text,
-        "parallel memoized {:>9.2} ms  ({:.1}x vs naive, {threads} threads)",
-        par_s * 1e3,
-        naive_s / par_s
-    );
-    let _ = writeln!(
-        text,
-        "trace cache: {} entries, {} misses, {} hits; all variants bit-identical",
-        stats.entries, stats.misses, stats.hits
-    );
-
-    ExperimentResult {
-        id: "bench_engine",
-        title: "Engine benchmark: memoized traces + multi-threaded sweep",
-        text,
-        json: json!({
-            "sweep": json!({ "label": "Mixtral-S/CS", "gpu": "A40", "seq_len": seq, "steps": batches.len() }),
-            "threads": threads,
-            "kernels_per_step_bs8": json!({
-                "emitted": probe.kernel_count(),
-                "unique": probe.unique_kernel_count(),
-            }),
-            "wall_seconds": json!({
-                "serial_naive": naive_s,
-                "serial_memoized": memo_s,
-                "parallel_memoized": par_s,
-            }),
-            "speedup_vs_serial_naive": json!({
-                "serial_memoized": naive_s / memo_s,
-                "parallel_memoized": naive_s / par_s,
-            }),
-            "trace_cache": json!({
-                "entries": stats.entries,
-                "misses": stats.misses,
-                "hits": stats.hits,
-            }),
-            "bit_identical": identical,
-        }),
-    }
-}
-
 // ----------------------------------------------------------------- Profile
 
 /// Renders a [`Breakdown`] as `{key: {seconds, pct}}`.
@@ -1717,16 +1602,6 @@ mod tests {
         }
         // Dense routing moves 4x the bytes of top-2.
         assert!(pct("dense", "PCIe4x16", 8) > pct("top-2", "PCIe4x16", 8));
-    }
-
-    #[test]
-    fn bench_engine_runs_and_results_stay_identical() {
-        // Also asserts internally that naive/memoized/parallel agree bit-for-bit.
-        let r = run("bench_engine");
-        assert_eq!(r.id, "bench_engine");
-        assert!(r.text.contains("bit-identical"), "{}", r.text);
-        assert!(!experiment_ids().contains(&"bench_engine"));
-        assert!(extra_experiment_ids().contains(&"bench_engine"));
     }
 
     #[test]

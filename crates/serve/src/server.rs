@@ -62,6 +62,12 @@ const PHASES: [&str; 5] = [
     "serve.phase.serialize_us",
 ];
 
+/// Longest request line the server buffers, newline excluded. Requests
+/// are flat JSON objects well under 1 KiB; a longer line gets one typed
+/// error and the connection closes, so per-connection memory stays bounded
+/// by this plus one read chunk.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+
 /// Read timeout per connection: the granularity at which connection threads
 /// re-check the shutdown flag.
 const READ_TICK: Duration = Duration::from_millis(100);
@@ -338,8 +344,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-/// Serves one connection until EOF or shutdown. Returns true when this
-/// connection requested server shutdown.
+/// Serves one connection until EOF, shutdown, or a request line longer
+/// than [`MAX_LINE_BYTES`]. Returns true when this connection requested
+/// server shutdown.
 fn connection_loop(mut stream: TcpStream, shared: &Shared) -> bool {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_TICK));
@@ -357,13 +364,21 @@ fn connection_loop(mut stream: TcpStream, shared: &Shared) -> bool {
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => return false,
         };
+        // The carried-over tail holds no newline: scan only the new bytes.
+        let mut scan_from = pending.len();
         pending.extend_from_slice(&chunk[..n]);
         out.clear();
         let mut consumed = 0;
         let mut wants_shutdown = false;
-        while let Some(nl) = pending[consumed..].iter().position(|&b| b == b'\n') {
-            let line = String::from_utf8_lossy(&pending[consumed..consumed + nl]).into_owned();
-            consumed += nl + 1;
+        while let Some(nl) = pending[scan_from..].iter().position(|&b| b == b'\n') {
+            let end = scan_from + nl;
+            if end - consumed > MAX_LINE_BYTES {
+                // Left unconsumed, so the length check below rejects it.
+                break;
+            }
+            let line = String::from_utf8_lossy(&pending[consumed..end]).into_owned();
+            consumed = end + 1;
+            scan_from = consumed;
             match shared.answer_line(&line) {
                 Answer::Skip => {}
                 Answer::Text(answer) => {
@@ -379,6 +394,15 @@ fn connection_loop(mut stream: TcpStream, shared: &Shared) -> bool {
             if wants_shutdown {
                 break;
             }
+        }
+        if pending.len() - consumed > MAX_LINE_BYTES {
+            shared.errors.add(1);
+            let error = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+            out.extend_from_slice(json!({"ok": false, "error": error}).to_string().as_bytes());
+            out.push(b'\n');
+            let _ = stream.write_all(&out);
+            let _ = stream.flush();
+            return false;
         }
         pending.drain(..consumed);
         if !out.is_empty() && stream.write_all(&out).is_err() {
@@ -451,6 +475,35 @@ mod tests {
         assert!(answers[0].contains(r#""ok":false"#));
         assert!(answers[1].contains(r#""ok":false"#));
         assert!(answers[2].contains(r#""ok":true"#));
+        server.shutdown();
+    }
+
+    #[test]
+    fn overlong_line_gets_one_error_then_eof_and_the_server_keeps_serving() {
+        let mut server = start();
+        let addr = server.local_addr();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        // No newline: the server must not buffer this without bound.
+        stream.write_all(&vec![b'x'; 70_000]).unwrap();
+        let mut reader = std::io::BufReader::new(stream);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        assert_eq!(
+            reply,
+            "{\"ok\":false,\"error\":\"request line exceeds 65536 bytes\"}\n"
+        );
+        // Then the server closes: EOF, or a reset when the close finds
+        // request bytes it never read.
+        let mut rest = Vec::new();
+        match reader.read_to_end(&mut rest) {
+            Ok(_) => assert!(rest.is_empty(), "bytes after the error line"),
+            Err(e) => assert_eq!(e.kind(), ErrorKind::ConnectionReset),
+        }
+        let answers = roundtrip(addr, &[r#"{"query":"plan"}"#]);
+        assert!(answers[0].contains(r#""ok":true"#), "{}", answers[0]);
         server.shutdown();
     }
 

@@ -54,7 +54,6 @@ impl SensitivityStudy {
         let mem = MemoryModel::new(sim.model(), sim.finetune());
         let gpu = sim.cost_model().spec().clone();
         let _sweep = ftsim_obs::span_lazy("sim.sweep", || format!("sensitivity:{label}"));
-        ftsim_obs::registry().gauge_set("sim.sensitivity.points_total", seq_lens.len() as f64);
         let results = engine::parallel_map(seq_lens, |&seq_len| {
             let max_batch = mem.max_batch_size(&gpu, seq_len);
             if max_batch == 0 {
@@ -64,7 +63,6 @@ impl SensitivityStudy {
                     .with_seq_len(seq_len));
             }
             let _point = ftsim_obs::span_lazy("sim.sweep", || format!("seq_len:{seq_len}"));
-            ftsim_obs::registry().counter_add("sim.sensitivity.points_done", 1);
             let trace = sim.simulate_step(max_batch, seq_len);
             let secs = trace.total_seconds();
             let util = trace.moe_overall_utilization();

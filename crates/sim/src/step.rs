@@ -148,8 +148,9 @@ impl StepSimulator {
     /// The per-layer traces are memoized in the simulator's [`TraceCache`]
     /// and replayed with repeat counts, so only one layer-trace computation
     /// happens per distinct (stage, layer-kind) — O(kernels), not
-    /// O(layers × kernels). The result is bit-identical to
-    /// [`StepSimulator::simulate_step_naive`].
+    /// O(layers × kernels). The result is bit-identical to the test-only
+    /// oracle `simulate_step_naive`, which emits every layer's kernels
+    /// individually.
     ///
     /// # Panics
     ///
@@ -206,7 +207,7 @@ impl StepSimulator {
             opt
         };
 
-        let trace = StepTrace::from_segments(
+        StepTrace::from_segments(
             vec![
                 TraceSegment::once(prologue.records),
                 TraceSegment::repeated(fwd_layer, layers),
@@ -218,40 +219,18 @@ impl StepSimulator {
             batch,
             seq_len,
             self.model.is_attention(),
-        );
-        // Stage-share gauges: the latest priced step's Fig. 4 breakdown in
-        // the metric snapshot.
-        if ftsim_obs::enabled() {
-            let total = trace.total_seconds();
-            if total > 0.0 {
-                let registry = ftsim_obs::registry();
-                registry.gauge_set("sim.step.total_s", total);
-                registry.gauge_set(
-                    "sim.step.forward_pct",
-                    100.0 * trace.stage_seconds(Stage::Forward) / total,
-                );
-                registry.gauge_set(
-                    "sim.step.backward_pct",
-                    100.0 * trace.stage_seconds(Stage::Backward) / total,
-                );
-                registry.gauge_set(
-                    "sim.step.optimizer_pct",
-                    100.0 * trace.stage_seconds(Stage::Optimizer) / total,
-                );
-            }
-        }
-        trace
+        )
     }
 
     /// Reference path: emits every layer's kernels individually, with no
-    /// memoization or segment compression — O(layers × kernels). Kept for
-    /// equivalence testing and as the baseline the perf benches compare
-    /// against.
+    /// memoization or segment compression — O(layers × kernels). Kept as
+    /// the oracle [`StepSimulator::simulate_step`] is tested against.
     ///
     /// # Panics
     ///
     /// Panics if `batch` or `seq_len` is zero.
-    pub fn simulate_step_naive(&self, batch: usize, seq_len: usize) -> StepTrace {
+    #[cfg(test)]
+    pub(crate) fn simulate_step_naive(&self, batch: usize, seq_len: usize) -> StepTrace {
         assert!(batch >= 1, "batch must be at least 1");
         assert!(seq_len >= 1, "seq_len must be at least 1");
         let mut b = TraceBuilder::with_capacity(&self.cost, self.step_kernels());
@@ -434,6 +413,7 @@ impl StepSimulator {
     }
 
     /// Exact kernel launches in one (uncompressed) step trace.
+    #[cfg(test)]
     fn step_kernels(&self) -> usize {
         let layers = self.model.num_layers;
         let recompute = if self.ft.gradient_checkpointing {

@@ -54,7 +54,7 @@ impl ThroughputSweep {
     }
 
     /// [`ThroughputSweep::run`] with an explicit worker count (`1` forces
-    /// the serial path; used by the determinism tests and perf benches).
+    /// the serial path; used by the determinism tests).
     ///
     /// # Errors
     ///
@@ -82,20 +82,11 @@ impl ThroughputSweep {
             return Err(err);
         }
         let _sweep = ftsim_obs::span_lazy("sim.sweep", || format!("throughput:{label}"));
-        ftsim_obs::registry().gauge_set("sim.sweep.points_total", batches.len() as f64);
         let points = engine::parallel_map_with(threads, batches, |&batch| {
             let _point = ftsim_obs::span_lazy("sim.sweep", || format!("batch:{batch}"));
             let trace = sim.simulate_step(batch, seq_len);
             let secs = trace.total_seconds();
             let util = trace.moe_overall_utilization();
-            // Progress ticks for the metric snapshot: done-count plus the
-            // most recent point's coordinates.
-            if ftsim_obs::enabled() {
-                let registry = ftsim_obs::registry();
-                registry.counter_add("sim.sweep.points_done", 1);
-                registry.gauge_set("sim.sweep.last_batch", batch as f64);
-                registry.gauge_set("sim.sweep.last_qps", batch as f64 / secs);
-            }
             ThroughputPoint {
                 batch,
                 step_seconds: secs,

@@ -157,7 +157,7 @@ pub fn matmul_bias_act(
 /// Row-wise numerically-stable softmax of a matrix, fused: one max sweep,
 /// then a single exp sweep writing straight into the output while the
 /// denominator accumulates, then an in-place normalize — no per-row scratch
-/// buffer. Bit-identical to [`softmax_rows_naive`].
+/// buffer. Bit-identical to the test-only oracle `softmax_rows_naive`.
 ///
 /// # Errors
 ///
@@ -195,7 +195,8 @@ pub fn softmax_rows(logits: &Tensor) -> Result<Tensor, TensorError> {
 /// # Errors
 ///
 /// Returns [`TensorError::InvalidArgument`] if `logits` is not rank-2.
-pub fn softmax_rows_naive(logits: &Tensor) -> Result<Tensor, TensorError> {
+#[cfg(test)]
+pub(crate) fn softmax_rows_naive(logits: &Tensor) -> Result<Tensor, TensorError> {
     let (rows, cols) = logits.shape().as_matrix().ok_or_else(|| {
         TensorError::InvalidArgument(format!(
             "softmax_rows requires a matrix, got {}",

@@ -7,9 +7,9 @@
 //! Two kernels live here, both bound by the same accumulation-order
 //! contract (see DESIGN.md "Kernel contracts"):
 //!
-//! * [`matmul_naive_into`] — the i-p-j oracle. Slow, obviously correct,
-//!   and the reference every other kernel must match bit-for-bit.
-//! * [`matmul_microkernel_into`] — the production kernel: cache-blocked
+//! * `matmul_naive_into` — the i-p-j oracle (test-only). Slow, obviously
+//!   correct, and the reference every other kernel must match bit-for-bit.
+//! * `matmul_microkernel_into` — the production kernel: cache-blocked
 //!   over the inner dimension and tiled into fixed `MR`×`NR` register
 //!   accumulators. Its band tiles, the fused epilogue's bias add, and the
 //!   backward epilogue's `db`/`dw` sweeps dispatch at runtime to explicit
@@ -75,7 +75,15 @@ fn resolve_thread_count(env_value: Option<&str>) -> usize {
 /// element, with terms skipped when the lhs factor is exactly `0.0`. Every
 /// other matmul kernel in the crate is tested bit-identical to this one.
 /// `out` must be zero-initialized and of length `m*n`.
-pub fn matmul_naive_into(lhs: &[f32], rhs: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+#[cfg(test)]
+pub(crate) fn matmul_naive_into(
+    lhs: &[f32],
+    rhs: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     assert_eq!(lhs.len(), m * k, "lhs length");
     assert_eq!(rhs.len(), k * n, "rhs length");
     assert_eq!(out.len(), m * n, "out length");
@@ -96,10 +104,11 @@ pub fn matmul_naive_into(lhs: &[f32], rhs: &[f32], out: &mut [f32], m: usize, k:
 
 /// `out[m×n] = lhs[m×k] @ rhs[k×n]` via the register-tile microkernel
 /// (serial). This is the kernel the crate-internal `matmul_into`
-/// dispatcher drives under threads; it is public so benches can time it
-/// against [`matmul_naive_into`] without thread-count noise. `out` must be
+/// dispatcher drives under threads; the tests compare it against
+/// [`matmul_naive_into`] without thread-count noise. `out` must be
 /// zero-initialized, length `m*n`.
-pub fn matmul_microkernel_into(
+#[cfg(test)]
+pub(crate) fn matmul_microkernel_into(
     lhs: &[f32],
     rhs: &[f32],
     out: &mut [f32],
