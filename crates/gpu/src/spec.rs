@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Static hardware parameters of a GPU.
 ///
@@ -87,11 +88,20 @@ impl GpuSpec {
     /// aliases used in scenario specs (`"a100-40"` for `"A100-40GB"`, etc.),
     /// so declarative query specs canonicalize to one device per spelling.
     pub fn by_name(name: &str) -> Option<GpuSpec> {
-        let wanted = name.trim().to_ascii_lowercase();
-        Self::catalog().into_iter().find(|gpu| {
-            let full = gpu.name.to_ascii_lowercase();
-            full == wanted || full.trim_end_matches("gb") == wanted
-        })
+        // Built once: a lookup runs on every planner request.
+        static CATALOG: OnceLock<Vec<GpuSpec>> = OnceLock::new();
+        let wanted = name.trim();
+        CATALOG
+            .get_or_init(Self::catalog)
+            .iter()
+            .find(|gpu| {
+                let full = gpu.name.as_str();
+                full.eq_ignore_ascii_case(wanted)
+                    || full
+                        .strip_suffix("GB")
+                        .is_some_and(|short| short.eq_ignore_ascii_case(wanted))
+            })
+            .cloned()
     }
 
     /// A hypothetical future device: this device's compute with `mem_gb`

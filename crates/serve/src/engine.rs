@@ -1,11 +1,18 @@
 //! The planner engine: turns a canonical [`ScenarioSpec`] into a JSON
 //! answer.
 //!
-//! Answers are **deterministic**: the JSON serializer keeps insertion
-//! order, floats render through one code path, and every number derives
-//! from the same deterministic cost model the batch experiments use. The
-//! scenario cache relies on this — a cached answer must be bit-identical
-//! to a fresh computation of the same spec.
+//! Answers are **deterministic**: fields render in a fixed order, floats
+//! render through one code path, and every number derives from the same
+//! deterministic cost model the batch experiments use. The scenario cache
+//! relies on this — a cached answer must be bit-identical to a fresh
+//! computation of the same spec.
+//!
+//! An answer is streamed into one `String` by `Fields`, a small object
+//! writer, rather than built as a `serde_json::Value` tree and rendered:
+//! no key, nested object or number is allocated on its own. Its numbers and
+//! strings go through `serde_json`'s own rendering (`write_int`,
+//! `write_float`, `write_string`), which is also what renders a `Value`, so
+//! the bytes are those a `Value` of the same fields would render to.
 //!
 //! Every query goes through one [`DistributedPlan`] per (model, recipe):
 //! plans and estimates on the scenario's fleet, sweeps on one device of
@@ -16,11 +23,9 @@
 //! only in dataset, batch, price, world size, link, or strategy, even when
 //! the scenario-level cache misses.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use ftsim_cost::{DistributedPlan, Topology};
-use serde_json::{json, Value};
 
 use crate::spec::{QueryKind, ScenarioSpec};
 
@@ -28,8 +33,9 @@ use crate::spec::{QueryKind, ScenarioSpec};
 /// `&self`.
 pub struct Planner {
     /// Distributed plans pooled by (model, recipe); each plan pools its own
-    /// per-device simulators.
-    plans: Mutex<HashMap<String, Arc<DistributedPlan>>>,
+    /// per-device simulators. At most eight (two models × four recipes), so
+    /// a scan beats building and hashing a combined key per query.
+    plans: Mutex<Vec<(String, String, Arc<DistributedPlan>)>>,
 }
 
 impl Default for Planner {
@@ -42,14 +48,105 @@ impl Default for Planner {
 /// ranges are sampled evenly (endpoints always included).
 const SWEEP_MAX_POINTS: usize = 16;
 
+/// Initial buffer for one answer: a plan answer is ~600 bytes, a sweep
+/// with 16 points ~1.6 KiB.
+const ANSWER_CAPACITY: usize = 1024;
+
+/// Renders one JSON object whose fields `fill` writes, in call order.
+pub(crate) fn object(fill: impl FnOnce(&mut Fields<'_>)) -> String {
+    let mut out = String::with_capacity(ANSWER_CAPACITY);
+    Fields::write(&mut out, fill);
+    out
+}
+
+/// Streams the fields of one JSON object into a `String`. Keys and string
+/// values are escaped and numbers formatted exactly as `serde_json` renders
+/// a `Value`, so an answer has a single float path.
+pub(crate) struct Fields<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+impl Fields<'_> {
+    fn write(out: &mut String, fill: impl FnOnce(&mut Fields<'_>)) {
+        out.push('{');
+        fill(&mut Fields {
+            out: &mut *out,
+            first: true,
+        });
+        out.push('}');
+    }
+
+    /// Starts the next field; returns the buffer to write its value into.
+    fn key(&mut self, key: &str) -> &mut String {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        serde_json::write_string(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    pub(crate) fn str(&mut self, key: &str, value: &str) -> &mut Self {
+        serde_json::write_string(self.key(key), value);
+        self
+    }
+
+    pub(crate) fn float(&mut self, key: &str, value: f64) -> &mut Self {
+        serde_json::write_float(self.key(key), value);
+        self
+    }
+
+    /// An integer field, converted to `i64` as `json!` converts a `usize`.
+    pub(crate) fn int(&mut self, key: &str, value: usize) -> &mut Self {
+        serde_json::write_int(self.key(key), value as i64);
+        self
+    }
+
+    pub(crate) fn bool(&mut self, key: &str, value: bool) -> &mut Self {
+        self.key(key).push_str(if value { "true" } else { "false" });
+        self
+    }
+
+    pub(crate) fn null(&mut self, key: &str) -> &mut Self {
+        self.key(key).push_str("null");
+        self
+    }
+
+    /// A nested object whose fields `fill` writes.
+    pub(crate) fn object(&mut self, key: &str, fill: impl FnOnce(&mut Fields<'_>)) -> &mut Self {
+        Fields::write(self.key(key), fill);
+        self
+    }
+
+    /// An array holding one object per item, each written by `fill`.
+    pub(crate) fn objects<T>(
+        &mut self,
+        key: &str,
+        items: &[T],
+        mut fill: impl FnMut(&mut Fields<'_>, &T),
+    ) -> &mut Self {
+        let out = self.key(key);
+        out.push('[');
+        for (i, item) in items.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            Fields::write(out, |fields| fill(fields, item));
+        }
+        out.push(']');
+        self
+    }
+}
+
 fn err(spec: &ScenarioSpec, message: &str) -> String {
-    json!({
-        "ok": false,
-        "query": spec.query.key(),
-        "scenario": spec.canonical_key(),
-        "error": message,
+    object(|f| {
+        f.bool("ok", false)
+            .str("query", spec.query.key())
+            .str("scenario", &spec.canonical_key())
+            .str("error", message);
     })
-    .to_string()
 }
 
 const NO_FIT: &str = "model does not fit on this GPU at batch 1";
@@ -90,7 +187,7 @@ impl Planner {
     /// A planner with an empty plan pool.
     pub fn new() -> Self {
         Planner {
-            plans: Mutex::new(HashMap::new()),
+            plans: Mutex::new(Vec::new()),
         }
     }
 
@@ -98,18 +195,26 @@ impl Planner {
     /// distinct device specs (catalog GPU × memory override).
     pub fn simulator_count(&self) -> usize {
         let plans = self.plans.lock().expect("plan pool");
-        plans.values().map(|plan| plan.simulator_count()).sum()
+        plans
+            .iter()
+            .map(|(_, _, plan)| plan.simulator_count())
+            .sum()
     }
 
     fn plan_for(&self, spec: &ScenarioSpec) -> Arc<DistributedPlan> {
-        let key = format!("{}|{}", spec.model, spec.recipe);
         let mut plans = self.plans.lock().expect("plan pool");
-        Arc::clone(plans.entry(key).or_insert_with(|| {
-            Arc::new(DistributedPlan::new(
-                spec.model_config(),
-                spec.finetune_config(),
-            ))
-        }))
+        if let Some((_, _, plan)) = plans
+            .iter()
+            .find(|(model, recipe, _)| *model == spec.model && *recipe == spec.recipe)
+        {
+            return Arc::clone(plan);
+        }
+        let plan = Arc::new(DistributedPlan::new(
+            spec.model_config(),
+            spec.finetune_config(),
+        ));
+        plans.push((spec.model.clone(), spec.recipe.clone(), Arc::clone(&plan)));
+        plan
     }
 
     /// Number of pooled distributed plans (distinct model × recipe combos
@@ -144,39 +249,38 @@ fn answer_plan(spec: &ScenarioSpec, plan: &DistributedPlan, topo: &Topology) -> 
     let bd = plan.memory().breakdown(batch.max(1), spec.seq_len);
     let part = plan.partition(topo, spec.parallelism, batch.max(1), spec.seq_len);
     let rank = &part.per_device[0];
-    json!({
-        "ok": true,
-        "query": "plan",
-        "scenario": spec.canonical_key(),
-        "model": model.name.clone(),
-        "recipe": spec.recipe.clone(),
-        "gpu": gpu.name.clone(),
-        "gpu_mem_gb": gpu.mem_gb,
-        "world_size": spec.gpus as i64,
-        "parallelism": spec.parallelism.key(),
-        "link": spec.link.clone(),
-        "seq_len": spec.seq_len as i64,
-        "trainable_params": ft.trainable_params(model) as i64,
-        "trainable_pct": ft.trainable_pct(model),
-        "max_batch": max_batch as i64,
-        "batch": batch as i64,
-        "fits": fits,
-        "memory_gb": json!({
-            "weights": bd.weights_gb,
-            "adapters": bd.adapters_gb,
-            "gradients": bd.gradients_gb,
-            "optimizer": bd.optimizer_gb,
-            "overhead": bd.overhead_gb,
-            "activations": bd.activations_gb,
-            "total": bd.total_gb(),
-        }),
-        "per_device_memory_gb": json!({
-            "sharded": rank.sharded_gb,
-            "replicated": rank.replicated_gb,
-            "total": rank.total_gb(),
-        }),
+    object(|f| {
+        f.bool("ok", true)
+            .str("query", "plan")
+            .str("scenario", &spec.canonical_key())
+            .str("model", &model.name)
+            .str("recipe", &spec.recipe)
+            .str("gpu", &gpu.name)
+            .float("gpu_mem_gb", gpu.mem_gb)
+            .int("world_size", spec.gpus)
+            .str("parallelism", spec.parallelism.key())
+            .str("link", &spec.link)
+            .int("seq_len", spec.seq_len)
+            .int("trainable_params", ft.trainable_params(model) as usize)
+            .float("trainable_pct", ft.trainable_pct(model))
+            .int("max_batch", max_batch)
+            .int("batch", batch)
+            .bool("fits", fits)
+            .object("memory_gb", |m| {
+                m.float("weights", bd.weights_gb)
+                    .float("adapters", bd.adapters_gb)
+                    .float("gradients", bd.gradients_gb)
+                    .float("optimizer", bd.optimizer_gb)
+                    .float("overhead", bd.overhead_gb)
+                    .float("activations", bd.activations_gb)
+                    .float("total", bd.total_gb());
+            })
+            .object("per_device_memory_gb", |m| {
+                m.float("sharded", rank.sharded_gb)
+                    .float("replicated", rank.replicated_gb)
+                    .float("total", rank.total_gb());
+            });
     })
-    .to_string()
 }
 
 /// Cost estimation: the batch is the **global** batch, resolved against
@@ -207,35 +311,34 @@ fn answer_estimate(spec: &ScenarioSpec, plan: &DistributedPlan, topo: &Topology)
         Ok(priced) => priced,
         Err(answer) => return answer,
     };
-    json!({
-        "ok": true,
-        "query": "estimate",
-        "scenario": spec.canonical_key(),
-        "model": plan.model().name.clone(),
-        "recipe": spec.recipe.clone(),
-        "gpu": spec.gpu.clone(),
-        "dataset": ds.name,
-        "seq_len": spec.seq_len as i64,
-        "batch": batch as i64,
-        "per_device_batch": step.per_device_batch as i64,
-        "max_batch": max_batch as i64,
-        "world_size": spec.gpus as i64,
-        "parallelism": par.key(),
-        "link": spec.link.clone(),
-        "step_seconds": step.total_seconds(),
-        "compute_seconds": step.compute_seconds,
-        "comm_seconds": step.comm_seconds,
-        "bubble_seconds": step.bubble_seconds,
-        "gpus": spec.gpus as i64,
-        "queries_per_second": qps,
-        "scaling_efficiency": step.compute_fraction(),
-        "epochs": spec.epochs as i64,
-        "total_queries": total_queries,
-        "usd_per_hour": usd_per_hour,
-        "hours": hours,
-        "usd": usd,
+    object(|f| {
+        f.bool("ok", true)
+            .str("query", "estimate")
+            .str("scenario", &spec.canonical_key())
+            .str("model", &plan.model().name)
+            .str("recipe", &spec.recipe)
+            .str("gpu", &spec.gpu)
+            .str("dataset", &ds.name)
+            .int("seq_len", spec.seq_len)
+            .int("batch", batch)
+            .int("per_device_batch", step.per_device_batch)
+            .int("max_batch", max_batch)
+            .int("world_size", spec.gpus)
+            .str("parallelism", par.key())
+            .str("link", &spec.link)
+            .float("step_seconds", step.total_seconds())
+            .float("compute_seconds", step.compute_seconds)
+            .float("comm_seconds", step.comm_seconds)
+            .float("bubble_seconds", step.bubble_seconds)
+            .int("gpus", spec.gpus)
+            .float("queries_per_second", qps)
+            .float("scaling_efficiency", step.compute_fraction())
+            .int("epochs", spec.epochs)
+            .float("total_queries", total_queries)
+            .float("usd_per_hour", usd_per_hour)
+            .float("hours", hours)
+            .float("usd", usd);
     })
-    .to_string()
 }
 
 /// Batch sweep on `device`, a single-GPU topology: throughput at evenly
@@ -255,59 +358,64 @@ fn answer_sweep(spec: &ScenarioSpec, plan: &DistributedPlan, device: &Topology) 
             .collect()
     };
     batches.dedup();
-    let mut best: Option<(usize, f64)> = None;
-    let points: Vec<Value> = batches
+    // (batch, step seconds, queries per second) per point.
+    let points: Vec<(usize, f64, f64)> = batches
         .iter()
         .map(|&batch| {
             let step_seconds = plan
                 .simulate_step(device, par, batch, spec.seq_len)
                 .total_seconds();
-            let qps = batch as f64 / step_seconds;
-            if best.is_none_or(|(_, b)| qps > b) {
-                best = Some((batch, qps));
-            }
-            json!({
-                "batch": batch as i64,
-                "step_seconds": step_seconds,
-                "queries_per_second": qps,
-            })
+            (batch, step_seconds, batch as f64 / step_seconds)
         })
         .collect();
+    let mut best: Option<(usize, f64)> = None;
+    for &(batch, _, qps) in &points {
+        if best.is_none_or(|(_, b)| qps > b) {
+            best = Some((batch, qps));
+        }
+    }
     let (best_batch, best_qps) = best.expect("max_batch >= 1 yields at least one point");
     let ds = spec.dataset_spec();
     let total_queries = spec.epochs as f64 * ds.num_queries as f64;
     let cost_at_best = match spec.usd_per_hour() {
         Some(rate) => match cost(spec, total_queries, best_qps, rate, 1) {
-            Ok((hours, usd)) => json!({
-                "usd_per_hour": rate,
-                "hours": hours,
-                "usd": usd,
-            }),
+            Ok((hours, usd)) => Some((rate, hours, usd)),
             Err(answer) => return answer,
         },
-        None => Value::Null,
+        None => None,
     };
-    json!({
-        "ok": true,
-        "query": "sweep",
-        "scenario": spec.canonical_key(),
-        "model": plan.model().name.clone(),
-        "recipe": spec.recipe.clone(),
-        "gpu": spec.gpu.clone(),
-        "dataset": ds.name,
-        "seq_len": spec.seq_len as i64,
-        "max_batch": max_batch as i64,
-        "points": points,
-        "best_batch": best_batch as i64,
-        "best_qps": best_qps,
-        "cost_at_best": cost_at_best,
+    object(|f| {
+        f.bool("ok", true)
+            .str("query", "sweep")
+            .str("scenario", &spec.canonical_key())
+            .str("model", &plan.model().name)
+            .str("recipe", &spec.recipe)
+            .str("gpu", &spec.gpu)
+            .str("dataset", &ds.name)
+            .int("seq_len", spec.seq_len)
+            .int("max_batch", max_batch)
+            .objects("points", &points, |p, &(batch, step_seconds, qps)| {
+                p.int("batch", batch)
+                    .float("step_seconds", step_seconds)
+                    .float("queries_per_second", qps);
+            })
+            .int("best_batch", best_batch)
+            .float("best_qps", best_qps);
+        match cost_at_best {
+            Some((rate, hours, usd)) => f.object("cost_at_best", |c| {
+                c.float("usd_per_hour", rate)
+                    .float("hours", hours)
+                    .float("usd", usd);
+            }),
+            None => f.null("cost_at_best"),
+        };
     })
-    .to_string()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Value;
 
     fn spec(text: &str) -> ScenarioSpec {
         ScenarioSpec::parse_str(text).unwrap()

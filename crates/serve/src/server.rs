@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use serde_json::{json, Value};
 
 use crate::cache::ScenarioCache;
-use crate::engine::Planner;
+use crate::engine::{object, Planner};
 use crate::spec::ScenarioSpec;
 
 /// Tuning knobs for [`Server`].
@@ -67,6 +67,9 @@ const PHASES: [&str; 5] = [
 /// error and the connection closes, so per-connection memory stays bounded
 /// by this plus one read chunk.
 const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// The error a request line that is not valid UTF-8 gets.
+const NOT_UTF8: &str = "request line is not valid UTF-8";
 
 /// Read timeout per connection: the granularity at which connection threads
 /// re-check the shutdown flag.
@@ -122,11 +125,13 @@ impl Shared {
         Instant::now()
     }
 
-    /// Handles one request line, returning the answer (no newline).
-    fn answer_line(&self, line: &str) -> Answer {
+    /// Answers one request line into `out`, newline included; a blank
+    /// line gets no answer. Returns true when the line asked the server to
+    /// shut down.
+    fn answer_line(&self, line: &str, out: &mut Vec<u8>) -> bool {
         let trimmed = line.trim();
         if trimmed.is_empty() {
-            return Answer::Skip;
+            return false;
         }
         // Control queries bypass the scenario parser and the cache.
         if trimmed == r#"{"query":"stats"}"#
@@ -136,12 +141,15 @@ impl Shared {
             self.control.add(1);
             if trimmed.contains("shutdown") {
                 self.stop.store(true, Ordering::SeqCst);
-                return Answer::Shutdown(json!({"ok": true, "query": "shutdown"}).to_string());
+                push_line(out, r#"{"ok":true,"query":"shutdown"}"#);
+                return true;
             }
             if trimmed.contains("metrics") {
-                return Answer::Text(self.metrics_answer());
+                push_line(out, &self.metrics_answer());
+            } else {
+                push_line(out, &self.stats_answer());
             }
-            return Answer::Text(self.stats_answer());
+            return false;
         }
         let started = Instant::now();
         let spec = match ScenarioSpec::parse_str(trimmed) {
@@ -149,7 +157,8 @@ impl Shared {
             Err(message) => {
                 self.errors.add(1);
                 self.phase(PHASES[0], started);
-                return Answer::Text(json!({"ok": false, "error": message}).to_string());
+                push_line(out, &error_answer(&message));
+                return false;
             }
         };
         let t = self.phase(PHASES[0], started);
@@ -157,7 +166,7 @@ impl Shared {
         self.inflight_gauge
             .set((self.inflight.fetch_add(1, Ordering::Relaxed) + 1) as f64);
         let key = spec.canonical_key();
-        let hash = spec.hash();
+        let hash = ScenarioSpec::key_hash(&key);
         let t = self.phase(PHASES[1], t);
         let mut compute_us = 0.0;
         let answer = self.cache.get_or_compute(&key, hash, || {
@@ -179,12 +188,12 @@ impl Shared {
         if answer.starts_with(r#"{"ok":false"#) {
             self.errors.add(1);
         }
-        let text = answer.to_string();
+        push_line(out, &answer);
         self.phase(PHASES[4], t);
         let total_us = started.elapsed().as_secs_f64() * 1e6;
         ftsim_obs::registry().sketch_record("serve.latency_us", total_us);
         self.latency_series.record(total_us);
-        Answer::Text(text)
+        false
     }
 
     fn slo_statuses(&self) -> Vec<ftsim_obs::SloStatus> {
@@ -249,13 +258,18 @@ impl Shared {
     }
 }
 
-enum Answer {
-    /// Blank line: answer nothing.
-    Skip,
-    /// Normal answer.
-    Text(String),
-    /// Answer, then stop the server.
-    Shutdown(String),
+/// Appends `answer` and its newline to the connection's output batch.
+fn push_line(out: &mut Vec<u8>, answer: &str) {
+    out.extend_from_slice(answer.as_bytes());
+    out.push(b'\n');
+}
+
+/// `{"ok":false,"error":message}`: the answer to a line that is not a
+/// scenario request.
+fn error_answer(message: &str) -> String {
+    object(|f| {
+        f.bool("ok", false).str("error", message);
+    })
 }
 
 /// A running planner server. Dropping the handle does **not** stop it; send
@@ -376,21 +390,19 @@ fn connection_loop(mut stream: TcpStream, shared: &Shared) -> bool {
                 // Left unconsumed, so the length check below rejects it.
                 break;
             }
-            let line = String::from_utf8_lossy(&pending[consumed..end]).into_owned();
+            let line = &pending[consumed..end];
             consumed = end + 1;
             scan_from = consumed;
-            match shared.answer_line(&line) {
-                Answer::Skip => {}
-                Answer::Text(answer) => {
-                    out.extend_from_slice(answer.as_bytes());
-                    out.push(b'\n');
+            // Strict: a line that is not UTF-8 is answered with an error,
+            // like malformed JSON, rather than parsed with replacements.
+            wants_shutdown = match std::str::from_utf8(line) {
+                Ok(line) => shared.answer_line(line, &mut out),
+                Err(_) => {
+                    shared.errors.add(1);
+                    push_line(&mut out, &error_answer(NOT_UTF8));
+                    false
                 }
-                Answer::Shutdown(answer) => {
-                    out.extend_from_slice(answer.as_bytes());
-                    out.push(b'\n');
-                    wants_shutdown = true;
-                }
-            }
+            };
             if wants_shutdown {
                 break;
             }
@@ -398,8 +410,7 @@ fn connection_loop(mut stream: TcpStream, shared: &Shared) -> bool {
         if pending.len() - consumed > MAX_LINE_BYTES {
             shared.errors.add(1);
             let error = format!("request line exceeds {MAX_LINE_BYTES} bytes");
-            out.extend_from_slice(json!({"ok": false, "error": error}).to_string().as_bytes());
-            out.push(b'\n');
+            push_line(&mut out, &error_answer(&error));
             let _ = stream.write_all(&out);
             let _ = stream.flush();
             return false;
@@ -475,6 +486,44 @@ mod tests {
         assert!(answers[0].contains(r#""ok":false"#));
         assert!(answers[1].contains(r#""ok":false"#));
         assert!(answers[2].contains(r#""ok":true"#));
+        server.shutdown();
+    }
+
+    #[test]
+    fn invalid_utf8_line_gets_a_typed_error_and_the_connection_stays_open() {
+        ftsim_obs::enable();
+        let errors = ftsim_obs::registry().counter("serve.errors");
+        let before = errors.get();
+        let mut server = start();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .write_all(b"{\"query\":\"pl\xffan\"}\n{\"query\":\"plan\"}\n")
+            .unwrap();
+        let mut reader = std::io::BufReader::new(stream);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        assert_eq!(
+            reply,
+            "{\"ok\":false,\"error\":\"request line is not valid UTF-8\"}\n"
+        );
+        reply.clear();
+        reader.read_line(&mut reply).unwrap();
+        assert!(reply.starts_with(r#"{"ok":true,"query":"plan""#), "{reply}");
+        // Other tests may count errors concurrently; this one adds at least one.
+        assert!(errors.get() > before, "the bad line counts in serve.errors");
+        server.shutdown();
+    }
+
+    #[test]
+    fn deeply_nested_line_is_an_error_not_a_stack_overflow() {
+        let mut server = start();
+        let deep = "[".repeat(60_000);
+        let answers = roundtrip(server.local_addr(), &[&deep, r#"{"query":"plan"}"#]);
+        assert_eq!(
+            answers[0],
+            r#"{"ok":false,"error":"invalid JSON: recursion limit exceeded at byte 128"}"#
+        );
+        assert!(answers[1].contains(r#""ok":true"#), "{}", answers[1]);
         server.shutdown();
     }
 

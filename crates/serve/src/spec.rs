@@ -180,8 +180,8 @@ impl ScenarioSpec {
         };
         let mut query = None;
         let mut model: Option<String> = None;
-        let mut recipe_raw: Option<String> = None;
-        let mut gpu: Option<String> = None;
+        let mut recipe_raw: Option<&str> = None;
+        let mut gpu: Option<GpuSpec> = None;
         let mut gpu_mem_gb = 0u32;
         let mut dataset: Option<String> = None;
         let mut seq_len = 0usize;
@@ -216,12 +216,12 @@ impl ScenarioSpec {
             match key.as_str() {
                 "query" => query = Some(QueryKind::parse(as_str(key, value)?)?),
                 "model" => model = Some(canonical_model(as_str(key, value)?)?.to_string()),
-                "recipe" => recipe_raw = Some(as_str(key, value)?.to_string()),
+                "recipe" => recipe_raw = Some(as_str(key, value)?),
                 "gpu" => {
                     let name = as_str(key, value)?;
-                    let spec = GpuSpec::by_name(name)
-                        .ok_or_else(|| format!("unknown gpu {name:?} (want one of the catalog)"))?;
-                    gpu = Some(spec.name);
+                    gpu = Some(GpuSpec::by_name(name).ok_or_else(|| {
+                        format!("unknown gpu {name:?} (want one of the catalog)")
+                    })?);
                 }
                 "gpu_mem_gb" => {
                     let gb = as_usize(key, value)?;
@@ -265,20 +265,16 @@ impl ScenarioSpec {
         }
         let query = query.ok_or_else(|| "missing field \"query\"".to_string())?;
         let model = model.unwrap_or_else(|| "mixtral-8x7b".to_string());
-        let recipe = canonical_recipe(recipe_raw.as_deref().unwrap_or("paper"), &model)?;
+        let recipe = canonical_recipe(recipe_raw.unwrap_or("paper"), &model)?;
         let dataset = dataset.unwrap_or_else(|| "commonsense_15k".to_string());
-        let gpu = gpu.unwrap_or_else(|| "A40".to_string());
+        let gpu = gpu.unwrap_or_else(GpuSpec::a40);
         // `"auto"` (the default) canonicalizes to the concrete tier for the
         // device class, so explicit and implicit spellings share a key.
-        let link = link_raw.unwrap_or_else(|| {
-            Topology::default_link_for(&GpuSpec::by_name(&gpu).expect("canonical gpu name"))
-                .name
-                .to_string()
-        });
+        let link = link_raw.unwrap_or_else(|| Topology::default_link_for(&gpu).name.to_string());
         let spec = ScenarioSpec {
             query,
             recipe,
-            gpu,
+            gpu: gpu.name,
             gpu_mem_gb,
             seq_len: if seq_len > 0 {
                 seq_len
@@ -335,8 +331,14 @@ impl ScenarioSpec {
     /// cache (entries themselves are keyed by the full canonical text, so a
     /// 64-bit collision costs a shard neighbor, never a wrong answer).
     pub fn hash(&self) -> u64 {
+        ScenarioSpec::key_hash(&self.canonical_key())
+    }
+
+    /// [`ScenarioSpec::hash`] from an already rendered canonical key, so a
+    /// caller holding the key does not render it twice.
+    pub fn key_hash(key: &str) -> u64 {
         let mut hasher = FxHasher::default();
-        hasher.write(self.canonical_key().as_bytes());
+        hasher.write(key.as_bytes());
         hasher.finish()
     }
 

@@ -398,7 +398,8 @@ proptest! {
     /// Over the whole scenario space — extreme sequence lengths, batches,
     /// fleets, memory overrides, epoch counts, and prices — every answer
     /// is a typed domain error or a success whose every number is finite
-    /// and non-negative. Each case asks every query under every strategy
+    /// and non-negative, and every answer's bytes are what its parsed
+    /// `Value` renders to. Each case asks every query under every strategy
     /// and pricing, at its drawn batch and at the Eq. 1 maximum. A panic
     /// fails the test.
     fn prop_every_answer_is_finite_or_a_domain_error(
@@ -434,6 +435,8 @@ proptest! {
                         );
                         let answer = planner.answer(&parse_spec(&line));
                         let doc = serde_json::from_str(&answer).expect("JSON");
+                        // Streamed answers render exactly as their `Value`.
+                        prop_assert_eq!(&doc.to_string(), &answer, "re-rendered {}", line);
                         match doc.get("ok") {
                             Some(Value::Bool(true)) => prop_assert!(
                                 all_numbers_finite_and_nonnegative(&doc),
