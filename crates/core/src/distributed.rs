@@ -36,16 +36,15 @@
 //! [`MemoryModel::max_batch_size_for_mem`], with communication and bubble
 //! exactly `0.0`. Property tests pin this.
 //!
-//! **Trace memoization.** The plan pools one [`StepSimulator`] per distinct
-//! device spec, and each simulator memoizes per `(stage, layer-kind,
-//! batch, seq_len)` — so the effective cache key of a distributed sweep is
-//! `(stage, shape, placement)` and a grid over world sizes, links, and
-//! strategies prices each unique trace exactly once.
+//! **Stateless.** A plan is immutable configuration. Each
+//! [`DistributedPlan::simulate_step`] call builds one [`StepSimulator`] per
+//! distinct device spec of the topology and prices that spec's step once,
+//! however many ranks share it; nothing is kept for the next call, so a
+//! stream of distinct scenarios cannot grow the plan.
 //!
 //! [`MemoryBreakdown`]: ftsim_model::MemoryBreakdown
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 
 use ftsim_gpu::CostModel;
 use ftsim_model::{FineTuneConfig, MemoryModel, ModelConfig, Sparsity};
@@ -193,10 +192,10 @@ impl MemoryPartition {
 }
 
 /// A distributed planning context for one (model, recipe) pair: the
-/// single-GPU [`StepSimulator`]s it pools (one per distinct device spec,
-/// each memoizing its own traces) plus the communication and memory
-/// models. Methods take the [`Topology`] per call, so one plan serves a
-/// whole sweep over world sizes, links, and strategies at O(unique traces).
+/// single-GPU memory model plus the communication model, with single-GPU
+/// [`StepSimulator`]s built per call. Methods take the [`Topology`] per
+/// call, so one plan serves a whole sweep over world sizes, links, and
+/// strategies.
 ///
 /// ```
 /// use ftsim_cost::{DistributedPlan, Interconnect, Parallelism, Topology};
@@ -235,22 +234,13 @@ pub struct DistributedPlan {
     model: ModelConfig,
     ft: FineTuneConfig,
     mem: MemoryModel,
-    /// Single-GPU simulators pooled by device name — the *placement* axis
-    /// of the `(stage, shape, placement)` trace-cache key.
-    sims: Mutex<HashMap<String, Arc<StepSimulator>>>,
 }
 
 impl DistributedPlan {
-    /// A plan for fine-tuning `model` with recipe `ft`, with an empty
-    /// simulator pool.
+    /// A plan for fine-tuning `model` with recipe `ft`.
     pub fn new(model: ModelConfig, ft: FineTuneConfig) -> Self {
         let mem = MemoryModel::new(&model, &ft);
-        DistributedPlan {
-            model,
-            ft,
-            mem,
-            sims: Mutex::new(HashMap::new()),
-        }
+        DistributedPlan { model, ft, mem }
     }
 
     /// The model architecture this plan fine-tunes.
@@ -268,22 +258,9 @@ impl DistributedPlan {
         &self.mem
     }
 
-    /// The pooled single-GPU simulator for one device spec (the placement
-    /// leg of the trace-cache key).
-    fn simulator(&self, gpu: &ftsim_gpu::GpuSpec) -> Arc<StepSimulator> {
-        let mut sims = self.sims.lock().expect("simulator pool");
-        Arc::clone(sims.entry(gpu.name.to_string()).or_insert_with(|| {
-            Arc::new(StepSimulator::new(
-                self.model.clone(),
-                self.ft,
-                CostModel::new(gpu.clone()),
-            ))
-        }))
-    }
-
-    /// Number of pooled simulators (distinct device specs seen so far).
-    pub fn simulator_count(&self) -> usize {
-        self.sims.lock().expect("simulator pool").len()
+    /// A single-GPU simulator for one device spec.
+    fn simulator(&self, gpu: &ftsim_gpu::GpuSpec) -> StepSimulator {
+        StepSimulator::new(self.model.clone(), self.ft, CostModel::new(gpu.clone()))
     }
 
     /// Experts each token activates under the recipe's sparsity.
@@ -350,10 +327,11 @@ impl DistributedPlan {
 
     /// Simulates one distributed step of `global_batch` queries.
     ///
-    /// Compute comes from the pooled single-GPU simulators (the slowest
-    /// rank gates the step; a mixed fleet's mean idle time is the bubble),
-    /// communication from [`DistributedPlan::comm_seconds`]. The 1-GPU
-    /// topology short-circuits to the plain single-GPU step, bit-for-bit.
+    /// Compute comes from single-GPU simulators, one per distinct device
+    /// spec (the slowest rank gates the step; a mixed fleet's mean idle
+    /// time is the bubble), communication from
+    /// [`DistributedPlan::comm_seconds`]. The 1-GPU topology short-circuits
+    /// to the plain single-GPU step, bit-for-bit.
     ///
     /// # Panics
     ///
@@ -387,7 +365,7 @@ impl DistributedPlan {
             Parallelism::Tensor | Parallelism::Expert => global_batch,
         };
         // One compute time per *distinct* device spec; ranks sharing a
-        // spec share the priced trace (the memoized-placement leg).
+        // spec share its priced step.
         let mut per_spec: HashMap<&str, f64> = HashMap::new();
         for gpu in topology.devices() {
             if per_spec.contains_key(gpu.name.as_str()) {
@@ -645,32 +623,6 @@ mod tests {
         assert!(!plan
             .partition(&topo, Parallelism::Data, 10 * (max + 1), 128)
             .fits());
-    }
-
-    #[test]
-    fn simulator_pool_is_keyed_by_placement() {
-        let plan = mixtral_plan();
-        let nv = Interconnect::nvlink3();
-        plan.simulate_step(
-            &Topology::homogeneous(GpuSpec::a40(), 2, nv),
-            Parallelism::Data,
-            2,
-            32,
-        );
-        plan.simulate_step(
-            &Topology::homogeneous(GpuSpec::a40(), 4, nv),
-            Parallelism::Tensor,
-            2,
-            32,
-        );
-        assert_eq!(plan.simulator_count(), 1, "one placement, one simulator");
-        plan.simulate_step(
-            &Topology::mixed(vec![GpuSpec::a40(), GpuSpec::h100_80()], nv),
-            Parallelism::Data,
-            2,
-            32,
-        );
-        assert_eq!(plan.simulator_count(), 2);
     }
 
     proptest! {

@@ -1334,7 +1334,7 @@ fn profile() -> ExperimentResult {
     ftsim_obs::enable();
 
     // Wall-clock work under the tracer: the Fig. 8 sweep (sim.sweep/sim.step
-    // spans, trace-cache counters, per-kernel-class cost counters) ...
+    // spans, per-kernel-class cost counters) ...
     let batches: Vec<usize> = (1..=mb).collect();
     let sweep = ThroughputSweep::run(&sim, "Mixtral-S/CS", seq, &batches)
         .unwrap_or_else(|e| panic!("throughput sweep failed: {e}"));
@@ -1344,8 +1344,8 @@ fn profile() -> ExperimentResult {
     let task = ftsim_workload::SyntheticTask::commonsense(16, 4, 42);
     let outcome = moetrain::train(&task, &MoeTrainConfig::mixtral_like(2), "profile");
 
-    // The simulated timeline: re-price the peak-batch step (served from the
-    // sweep-warmed trace cache) and read its Nsight-style gauges.
+    // The simulated timeline: re-price the peak-batch step and read its
+    // Nsight-style gauges.
     let trace = sim.simulate_step(mb, seq);
     trace
         .moe_overall_utilization()
@@ -1380,7 +1380,6 @@ fn profile() -> ExperimentResult {
     let section = trace.section_breakdown();
     let moe_kernels = trace.moe_kernel_breakdown();
     let util = trace.moe_overall_utilization();
-    let cache = sim.cache_stats();
 
     let summary = json!({
         "config": json!({
@@ -1408,7 +1407,6 @@ fn profile() -> ExperimentResult {
             "final_accuracy": outcome.final_accuracy(),
             "imbalance_delta": outcome.imbalance_delta(),
         }),
-        "trace_cache": json!({ "hits": cache.hits, "misses": cache.misses }),
         "span_count": events.len(),
         "chrome_event_count": chrome.len(),
         "metrics": serde_json::from_str(&metrics.to_json_string())
@@ -1447,11 +1445,6 @@ fn profile() -> ExperimentResult {
         sweep.points.len(),
         sweep.peak_qps(),
         outcome.final_accuracy()
-    );
-    let _ = writeln!(
-        text,
-        "trace cache: {} hits / {} misses",
-        cache.hits, cache.misses
     );
     let _ = writeln!(
         text,

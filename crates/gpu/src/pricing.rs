@@ -23,6 +23,43 @@ pub enum CloudProvider {
 }
 
 impl CloudProvider {
+    /// The provider's listed hourly rates in USD, by GPU catalog name.
+    ///
+    /// CUDO rates are the paper's Table IV values (A40 $0.79, A100-80GB
+    /// $1.67, H100 $2.10); A100-40GB is interpolated from CUDO's 2024
+    /// listings. AWS/Lambda rates are representative on-demand prices.
+    /// [`PriceTable::for_provider`] builds from this same list, so each
+    /// price is written once.
+    fn listed_rates(&self) -> &'static [(&'static str, f64)] {
+        match self {
+            CloudProvider::Cudo => &[
+                ("A40", 0.79),
+                ("A100-40GB", 1.35),
+                ("A100-80GB", 1.67),
+                ("H100-80GB", 2.10),
+            ],
+            CloudProvider::Aws => &[
+                ("A100-40GB", 4.10),
+                ("A100-80GB", 5.12),
+                ("H100-80GB", 12.29),
+            ],
+            CloudProvider::Lambda => &[
+                ("A100-40GB", 1.29),
+                ("A100-80GB", 1.79),
+                ("H100-80GB", 2.49),
+            ],
+        }
+    }
+
+    /// The listed hourly rate for `gpu_name`, looked up without building a
+    /// [`PriceTable`]; equals `PriceTable::for_provider(self).usd_per_hour`.
+    pub fn listed_usd_per_hour(&self, gpu_name: &str) -> Option<f64> {
+        self.listed_rates()
+            .iter()
+            .find(|(name, _)| *name == gpu_name)
+            .map(|&(_, price)| price)
+    }
+
     /// Short lower-case identifier used in scenario specs and cache keys.
     pub fn key(&self) -> &'static str {
         match self {
@@ -68,33 +105,13 @@ pub struct PriceTable {
 }
 
 impl PriceTable {
-    /// The price book for `provider`.
-    ///
-    /// CUDO rates are the paper's Table IV values (A40 $0.79, A100-80GB
-    /// $1.67, H100 $2.10); A100-40GB is interpolated from CUDO's 2024
-    /// listings. AWS/Lambda rates are representative on-demand prices.
+    /// The price book for `provider`: its listed rates, the ones
+    /// [`CloudProvider::listed_usd_per_hour`] looks up.
     pub fn for_provider(provider: CloudProvider) -> Self {
-        let entries: &[(&str, f64)] = match provider {
-            CloudProvider::Cudo => &[
-                ("A40", 0.79),
-                ("A100-40GB", 1.35),
-                ("A100-80GB", 1.67),
-                ("H100-80GB", 2.10),
-            ],
-            CloudProvider::Aws => &[
-                ("A100-40GB", 4.10),
-                ("A100-80GB", 5.12),
-                ("H100-80GB", 12.29),
-            ],
-            CloudProvider::Lambda => &[
-                ("A100-40GB", 1.29),
-                ("A100-80GB", 1.79),
-                ("H100-80GB", 2.49),
-            ],
-        };
         PriceTable {
             provider,
-            usd_per_hour: entries
+            usd_per_hour: provider
+                .listed_rates()
                 .iter()
                 .map(|&(name, price)| (name.to_string(), price))
                 .collect(),
@@ -175,6 +192,26 @@ mod tests {
         }
         assert_eq!(" AWS ".parse::<CloudProvider>(), Ok(CloudProvider::Aws));
         assert!("azure".parse::<CloudProvider>().is_err());
+    }
+
+    #[test]
+    fn listed_lookup_matches_the_price_table() {
+        for provider in [
+            CloudProvider::Cudo,
+            CloudProvider::Aws,
+            CloudProvider::Lambda,
+        ] {
+            let table = PriceTable::for_provider(provider);
+            for gpu in crate::GpuSpec::catalog() {
+                assert_eq!(
+                    provider.listed_usd_per_hour(&gpu.name),
+                    table.usd_per_hour(&gpu.name),
+                    "{provider} {}",
+                    gpu.name
+                );
+            }
+            assert_eq!(provider.listed_usd_per_hour("MyGPU"), None);
+        }
     }
 
     #[test]

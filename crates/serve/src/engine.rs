@@ -17,11 +17,13 @@
 //! Every query goes through one [`DistributedPlan`] per (model, recipe):
 //! plans and estimates on the scenario's fleet, sweeps on one device of
 //! the scenario's GPU (the sweep ignores the world size). A fleet of one
-//! is the paper's single-GPU Eq. 1 and step simulation, bit for bit. Each
-//! plan pools one simulator per device spec, so its internal trace caches
-//! keep amortizing kernel-grid construction across scenarios that differ
-//! only in dataset, batch, price, world size, link, or strategy, even when
-//! the scenario-level cache misses.
+//! is the paper's single-GPU Eq. 1 and step simulation, bit for bit.
+//!
+//! The engine is **stateless** between requests apart from that plan pool
+//! (at most eight immutable plans): every answer prices its steps afresh,
+//! so a stream of distinct scenarios — say, one `gpu_mem_gb` value per
+//! request — does not grow memory. The server's answer cache is the only
+//! thing that remembers a scenario.
 
 use std::sync::{Arc, Mutex};
 
@@ -29,12 +31,11 @@ use ftsim_cost::{DistributedPlan, Topology};
 
 use crate::spec::{QueryKind, ScenarioSpec};
 
-/// Stateful query engine. Cheap to share behind an `Arc`; all methods take
-/// `&self`.
+/// Query engine. Cheap to share behind an `Arc`; all methods take `&self`.
 pub struct Planner {
-    /// Distributed plans pooled by (model, recipe); each plan pools its own
-    /// per-device simulators. At most eight (two models × four recipes), so
-    /// a scan beats building and hashing a combined key per query.
+    /// Immutable distributed plans pooled by (model, recipe). At most eight
+    /// (two models × four recipes), so a scan beats building and hashing a
+    /// combined key per query.
     plans: Mutex<Vec<(String, String, Arc<DistributedPlan>)>>,
 }
 
@@ -140,20 +141,28 @@ impl Fields<'_> {
     }
 }
 
-fn err(spec: &ScenarioSpec, message: &str) -> String {
+/// One query: the spec and its canonical key, rendered once by the caller
+/// and echoed in the answer's `scenario` field.
+struct Query<'a> {
+    spec: &'a ScenarioSpec,
+    key: &'a str,
+}
+
+fn err(q: &Query<'_>, message: &str) -> String {
     object(|f| {
         f.bool("ok", false)
-            .str("query", spec.query.key())
-            .str("scenario", &spec.canonical_key())
+            .str("query", q.spec.query.key())
+            .str("scenario", q.key)
             .str("error", message);
     })
 }
 
 const NO_FIT: &str = "model does not fit on this GPU at batch 1";
 
-fn no_price(spec: &ScenarioSpec) -> String {
+fn no_price(q: &Query<'_>) -> String {
+    let spec = q.spec;
     err(
-        spec,
+        q,
         &format!(
             "no {} price for {} (pass price_per_hour to override)",
             spec.provider.key(),
@@ -165,7 +174,7 @@ fn no_price(spec: &ScenarioSpec) -> String {
 /// Wall-clock hours and dollars for `total_queries` at `qps` on `gpus`
 /// devices billed at `rate` each, or a domain error when either overflows.
 fn cost(
-    spec: &ScenarioSpec,
+    q: &Query<'_>,
     total_queries: f64,
     qps: f64,
     rate: f64,
@@ -177,7 +186,7 @@ fn cost(
         Ok((hours, usd))
     } else {
         Err(err(
-            spec,
+            q,
             "cost is not finite (too many epochs or too high a price)",
         ))
     }
@@ -191,14 +200,11 @@ impl Planner {
         }
     }
 
-    /// Number of pooled simulators: the sum over pooled plans of their
-    /// distinct device specs (catalog GPU × memory override).
+    /// Compatibility shim: always 0, because plans build their simulators
+    /// per call and keep none. `ftbench` still reads it for its
+    /// `serve.planner.simulators` row; it goes when that row does.
     pub fn simulator_count(&self) -> usize {
-        let plans = self.plans.lock().expect("plan pool");
-        plans
-            .iter()
-            .map(|(_, _, plan)| plan.simulator_count())
-            .sum()
+        0
     }
 
     fn plan_for(&self, spec: &ScenarioSpec) -> Arc<DistributedPlan> {
@@ -227,11 +233,19 @@ impl Planner {
     /// produce byte-identical output. Never panics on domain errors — those
     /// return an `"ok": false` answer (which is cacheable like any other).
     pub fn answer(&self, spec: &ScenarioSpec) -> String {
+        self.answer_keyed(spec, &spec.canonical_key())
+    }
+
+    /// [`Planner::answer`] for a caller that already rendered `key`, the
+    /// spec's [`ScenarioSpec::canonical_key`], so it is not rendered twice.
+    pub(crate) fn answer_keyed(&self, spec: &ScenarioSpec, key: &str) -> String {
+        debug_assert_eq!(key, spec.canonical_key());
         let plan = self.plan_for(spec);
+        let q = Query { spec, key };
         match spec.query {
-            QueryKind::Plan => answer_plan(spec, &plan, &spec.topology()),
-            QueryKind::Estimate => answer_estimate(spec, &plan, &spec.topology()),
-            QueryKind::Sweep => answer_sweep(spec, &plan, &Topology::single(spec.gpu_spec())),
+            QueryKind::Plan => answer_plan(&q, &plan, &spec.topology()),
+            QueryKind::Estimate => answer_estimate(&q, &plan, &spec.topology()),
+            QueryKind::Sweep => answer_sweep(&q, &plan, &Topology::single(spec.gpu_spec())),
         }
     }
 }
@@ -239,7 +253,8 @@ impl Planner {
 /// Memory planning: Eq. 1 over the LLMem-style partition. The answer
 /// reports the global max batch, the single-device footprint at the
 /// resolved batch, and one rank's sharded / replicated split.
-fn answer_plan(spec: &ScenarioSpec, plan: &DistributedPlan, topo: &Topology) -> String {
+fn answer_plan(q: &Query<'_>, plan: &DistributedPlan, topo: &Topology) -> String {
+    let spec = q.spec;
     let model = plan.model();
     let ft = plan.finetune();
     let gpu = &topo.devices()[0]; // homogeneous fleet: every rank equal
@@ -252,7 +267,7 @@ fn answer_plan(spec: &ScenarioSpec, plan: &DistributedPlan, topo: &Topology) -> 
     object(|f| {
         f.bool("ok", true)
             .str("query", "plan")
-            .str("scenario", &spec.canonical_key())
+            .str("scenario", q.key)
             .str("model", &model.name)
             .str("recipe", &spec.recipe)
             .str("gpu", &gpu.name)
@@ -286,35 +301,36 @@ fn answer_plan(spec: &ScenarioSpec, plan: &DistributedPlan, topo: &Topology) -> 
 /// Cost estimation: the batch is the **global** batch, resolved against
 /// the partitioned Eq. 1 maximum, and the step splits into compute + comm
 /// + bubble (both zero on one device).
-fn answer_estimate(spec: &ScenarioSpec, plan: &DistributedPlan, topo: &Topology) -> String {
+fn answer_estimate(q: &Query<'_>, plan: &DistributedPlan, topo: &Topology) -> String {
+    let spec = q.spec;
     let par = spec.parallelism;
     let max_batch = plan.max_batch(topo, par, spec.seq_len);
     if max_batch == 0 {
-        return err(spec, NO_FIT);
+        return err(q, NO_FIT);
     }
     let batch = Some(spec.batch).filter(|&b| b > 0).unwrap_or(max_batch);
     if batch > max_batch {
         return err(
-            spec,
+            q,
             &format!("batch {batch} exceeds the Eq. 1 maximum {max_batch}"),
         );
     }
     let Some(usd_per_hour) = spec.usd_per_hour() else {
-        return no_price(spec);
+        return no_price(q);
     };
     let step = plan.simulate_step(topo, par, batch, spec.seq_len);
     let qps = step.queries_per_second();
     let ds = spec.dataset_spec();
     // In f64, so huge epoch counts cannot overflow.
     let total_queries = spec.epochs as f64 * ds.num_queries as f64;
-    let (hours, usd) = match cost(spec, total_queries, qps, usd_per_hour, spec.gpus) {
+    let (hours, usd) = match cost(q, total_queries, qps, usd_per_hour, spec.gpus) {
         Ok(priced) => priced,
         Err(answer) => return answer,
     };
     object(|f| {
         f.bool("ok", true)
             .str("query", "estimate")
-            .str("scenario", &spec.canonical_key())
+            .str("scenario", q.key)
             .str("model", &plan.model().name)
             .str("recipe", &spec.recipe)
             .str("gpu", &spec.gpu)
@@ -343,11 +359,12 @@ fn answer_estimate(spec: &ScenarioSpec, plan: &DistributedPlan, topo: &Topology)
 
 /// Batch sweep on `device`, a single-GPU topology: throughput at evenly
 /// spaced feasible batch sizes, and the cost at the fastest one.
-fn answer_sweep(spec: &ScenarioSpec, plan: &DistributedPlan, device: &Topology) -> String {
+fn answer_sweep(q: &Query<'_>, plan: &DistributedPlan, device: &Topology) -> String {
+    let spec = q.spec;
     let par = spec.parallelism;
     let max_batch = plan.max_batch(device, par, spec.seq_len);
     if max_batch == 0 {
-        return err(spec, NO_FIT);
+        return err(q, NO_FIT);
     }
     // Endpoints plus an even sample of the interior, deduplicated.
     let mut batches: Vec<usize> = if max_batch <= SWEEP_MAX_POINTS {
@@ -378,7 +395,7 @@ fn answer_sweep(spec: &ScenarioSpec, plan: &DistributedPlan, device: &Topology) 
     let ds = spec.dataset_spec();
     let total_queries = spec.epochs as f64 * ds.num_queries as f64;
     let cost_at_best = match spec.usd_per_hour() {
-        Some(rate) => match cost(spec, total_queries, best_qps, rate, 1) {
+        Some(rate) => match cost(q, total_queries, best_qps, rate, 1) {
             Ok((hours, usd)) => Some((rate, hours, usd)),
             Err(answer) => return answer,
         },
@@ -387,7 +404,7 @@ fn answer_sweep(spec: &ScenarioSpec, plan: &DistributedPlan, device: &Topology) 
     object(|f| {
         f.bool("ok", true)
             .str("query", "sweep")
-            .str("scenario", &spec.canonical_key())
+            .str("scenario", q.key)
             .str("model", &plan.model().name)
             .str("recipe", &spec.recipe)
             .str("gpu", &spec.gpu)
@@ -565,24 +582,5 @@ mod tests {
             other => panic!("scaling_efficiency: {other:?}"),
         }
         assert_eq!(planner.plan_count(), 1, "one model|recipe, one plan");
-    }
-
-    #[test]
-    fn simulators_are_pooled_across_datasets_and_prices() {
-        let planner = Planner::new();
-        planner.answer(&spec(r#"{"query":"estimate"}"#));
-        planner.answer(&spec(r#"{"query":"estimate","dataset":"math"}"#));
-        planner.answer(&spec(r#"{"query":"estimate","price_per_hour":0.5}"#));
-        assert_eq!(
-            planner.simulator_count(),
-            1,
-            "same model|recipe|gpu shares one simulator"
-        );
-        planner.answer(&spec(r#"{"query":"estimate","world_size":4}"#));
-        assert_eq!(planner.simulator_count(), 1, "a fleet of A40s reuses it");
-        planner.answer(&spec(r#"{"query":"estimate","gpu":"h100-80"}"#));
-        planner.answer(&spec(r#"{"query":"estimate","gpu_mem_gb":120}"#));
-        assert_eq!(planner.simulator_count(), 3, "one per device spec");
-        assert_eq!(planner.plan_count(), 1);
     }
 }

@@ -9,16 +9,18 @@
 //! cost estimates, or batch sweeps computed by the same deterministic
 //! simulator the experiments use.
 //!
-//! Three layers keep the hot path fast:
+//! Two layers keep the hot path fast:
 //!
 //! 1. a sharded scenario-hash LRU cache ([`ScenarioCache`]) that returns
 //!    previously computed answers byte-for-byte and coalesces concurrent
 //!    misses onto a single computation,
-//! 2. a plan pool inside [`Planner`]: one `DistributedPlan` per model ×
-//!    recipe, whose per-device simulators share their `TraceCache`s across
-//!    scenarios differing only in dataset, batch, price, or fleet shape,
-//! 3. pipelined line framing in the server, so a batch of questions costs
+//! 2. pipelined line framing in the server, so a batch of questions costs
 //!    one syscall round-trip.
+//!
+//! The bounded answer cache is the only state a scenario leaves behind.
+//! [`Planner`] computes each answer from scratch on immutable plans, one
+//! per model × recipe (at most eight), so distinct scenarios cannot grow
+//! memory.
 //!
 //! [`loadgen`] is the matching closed-loop benchmark driver; it issues a
 //! deterministic query stream so CI can gate on exact cache counters.

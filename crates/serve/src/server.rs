@@ -171,7 +171,7 @@ impl Shared {
         let mut compute_us = 0.0;
         let answer = self.cache.get_or_compute(&key, hash, || {
             let computing = Instant::now();
-            let answer = self.planner.answer(&spec);
+            let answer = self.planner.answer_keyed(&spec, &key);
             compute_us = computing.elapsed().as_secs_f64() * 1e6;
             answer
         });
@@ -245,7 +245,6 @@ impl Shared {
                 "capacity": self.cache.capacity() as i64,
                 "shards": self.cache.shard_count() as i64,
             }),
-            "simulators": self.planner.simulator_count() as i64,
             "slo": json!({
                 "name": self.slo.name.clone(),
                 "target_p99_us": self.slo.target_p99,

@@ -15,7 +15,7 @@ use std::hash::Hasher;
 
 use crate::cache::FxHasher;
 use ftsim_cost::{Interconnect, Parallelism, Topology};
-use ftsim_gpu::{CloudProvider, GpuSpec, PriceTable};
+use ftsim_gpu::{CloudProvider, GpuSpec};
 use ftsim_model::{presets, FineTuneConfig, ModelConfig};
 use ftsim_workload::{presets as data, DatasetSpec};
 use serde_json::Value;
@@ -392,7 +392,7 @@ impl ScenarioSpec {
         if let Some(p) = self.price_per_hour {
             return Some(p);
         }
-        PriceTable::for_provider(self.provider).usd_per_hour(&self.gpu)
+        self.provider.listed_usd_per_hour(&self.gpu)
     }
 }
 

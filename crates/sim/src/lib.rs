@@ -44,6 +44,6 @@ pub use learning::{LearningCurve, TrainabilityMatrix};
 pub use moetrain::{MoeTrainConfig, MoeTrainOutcome};
 pub use routing::{RouterDrift, TokenDistribution};
 pub use sensitivity::{SensitivityPoint, SensitivityStudy};
-pub use step::{CacheStats, StepSimulator, TraceCache};
+pub use step::{CacheStats, StepSimulator};
 pub use throughput::{ThroughputPoint, ThroughputSweep};
 pub use trace::{KernelRecord, Section, Stage, StepTrace, TraceSegment};

@@ -11,80 +11,36 @@ use crate::trace::{KernelRecord, Section, Stage, StepTrace, TraceSegment};
 use ftsim_gpu::{CostModel, KernelDesc, KernelKind};
 use ftsim_model::{FineTuneConfig, FineTuneMethod, ModelConfig, SequenceMixer};
 use ftsim_tensor::nn::ExpertKind;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
 
-/// Obs counters for [`TraceCache`] effectiveness; registered on first use.
-fn cache_obs() -> &'static (ftsim_obs::Counter, ftsim_obs::Counter) {
-    static COUNTERS: OnceLock<(ftsim_obs::Counter, ftsim_obs::Counter)> = OnceLock::new();
-    COUNTERS.get_or_init(|| {
-        let registry = ftsim_obs::registry();
-        (
-            registry.counter("sim.trace_cache.hits"),
-            registry.counter("sim.trace_cache.misses"),
-        )
-    })
-}
-
-/// Which half of a transformer layer a cached trace covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum LayerKind {
-    /// The layer's forward emission (also used for gradient-checkpointing
-    /// re-computation, keyed under `Stage::Backward`).
-    Forward,
-    /// The layer's backward emission.
-    Backward,
-}
-
-/// Cache key: a layer trace is fully determined by the stage it is emitted
-/// in, which half of the layer it covers, and the (batch, seq_len) shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct TraceKey {
-    stage: Stage,
-    kind: LayerKind,
-    batch: usize,
-    seq_len: usize,
-}
-
-/// Memoizes priced per-layer kernel traces.
-///
-/// All `num_layers` transformer layers of a step launch an identical kernel
-/// sequence, so each distinct (stage, layer-kind, batch, seq_len) trace is
-/// computed and priced once and shared via [`Arc`]; [`StepTrace`] replays it
-/// with a repeat count. This turns `simulate_step` from O(layers × kernels)
-/// into O(kernels).
-#[derive(Debug, Default)]
-pub struct TraceCache {
-    entries: HashMap<TraceKey, Arc<Vec<KernelRecord>>>,
-    hits: u64,
-    misses: u64,
-}
-
-/// Counters describing how effective a simulator's [`TraceCache`] has been.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Always-zero trace-cache counters, returned by the
+/// [`StepSimulator::cache_stats`] shim. A simulator retains nothing between
+/// steps, so there is nothing to count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from the cache.
+    /// Always 0.
     pub hits: u64,
-    /// Lookups that had to compute (and price) a layer trace.
+    /// Always 0.
     pub misses: u64,
-    /// Distinct layer traces currently stored.
+    /// Always 0.
     pub entries: usize,
 }
 
 /// Simulates training steps for one (model, recipe, GPU) combination.
-#[derive(Debug)]
+///
+/// Immutable configuration: a simulator keeps no state from one
+/// [`StepSimulator::simulate_step`] call to the next.
+#[derive(Debug, Clone)]
 pub struct StepSimulator {
     model: ModelConfig,
     ft: FineTuneConfig,
     cost: CostModel,
-    cache: Mutex<TraceCache>,
 }
 
-impl Clone for StepSimulator {
-    /// Clones the configuration with a fresh (empty) trace cache.
-    fn clone(&self) -> Self {
-        StepSimulator::new(self.model.clone(), self.ft, self.cost.clone())
-    }
+#[cfg(test)]
+thread_local! {
+    /// Kernels priced on this thread, so a test can count one step's pricing
+    /// without racing other tests on the process-global obs registry.
+    static PRICED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Internal builder accumulating the kernels of one step or layer.
@@ -106,6 +62,8 @@ impl<'a> TraceBuilder<'a> {
     }
 
     fn emit(&mut self, section: Section, desc: KernelDesc) {
+        #[cfg(test)]
+        PRICED.with(|n| n.set(n.get() + 1));
         let cost = self.cost.kernel_cost(&desc);
         self.records.push(KernelRecord {
             stage: self.stage,
@@ -119,12 +77,7 @@ impl<'a> TraceBuilder<'a> {
 impl StepSimulator {
     /// Creates a simulator.
     pub fn new(model: ModelConfig, ft: FineTuneConfig, cost: CostModel) -> Self {
-        StepSimulator {
-            model,
-            ft,
-            cost,
-            cache: Mutex::new(TraceCache::default()),
-        }
+        StepSimulator { model, ft, cost }
     }
 
     /// The model being simulated.
@@ -145,11 +98,12 @@ impl StepSimulator {
     /// Simulates one full training step (forward + backward + optimizer)
     /// over `batch` queries padded to `seq_len` tokens.
     ///
-    /// The per-layer traces are memoized in the simulator's [`TraceCache`]
-    /// and replayed with repeat counts, so only one layer-trace computation
-    /// happens per distinct (stage, layer-kind) — O(kernels), not
-    /// O(layers × kernels). The result is bit-identical to the test-only
-    /// oracle `simulate_step_naive`, which emits every layer's kernels
+    /// All `num_layers` layers launch the same kernels, so each layer half
+    /// (forward, backward, and the checkpointing re-computation) is priced
+    /// once per call and replayed `num_layers` times as a repeated segment
+    /// — O(kernels), not O(layers × kernels). Nothing is kept between
+    /// calls. The result is bit-identical to the test-only oracle
+    /// `simulate_step_naive`, which emits every layer's kernels
     /// individually.
     ///
     /// # Panics
@@ -166,7 +120,9 @@ impl StepSimulator {
             let _stage = ftsim_obs::span("sim.step", "forward");
             let mut prologue = TraceBuilder::with_capacity(&self.cost, self.embedding_kernels());
             self.emit_embedding(&mut prologue, batch, seq_len);
-            let fwd_layer = self.layer_records(Stage::Forward, LayerKind::Forward, batch, seq_len);
+            let mut fwd_layer =
+                TraceBuilder::with_capacity(&self.cost, self.layer_forward_kernels());
+            self.emit_layer_forward(&mut fwd_layer, batch, seq_len);
             let mut head = TraceBuilder::with_capacity(&self.cost, self.head_kernels());
             self.emit_head(&mut head, batch, seq_len);
             (prologue, fwd_layer, head)
@@ -180,21 +136,15 @@ impl StepSimulator {
                 TraceBuilder::with_capacity(&self.cost, self.head_backward_kernels());
             head_bwd.stage = Stage::Backward;
             self.emit_head_backward(&mut head_bwd, batch, seq_len);
-            let bwd_layer =
-                self.layer_records(Stage::Backward, LayerKind::Backward, batch, seq_len);
-            let bwd_block = if self.ft.gradient_checkpointing {
+            let mut bwd_block =
+                TraceBuilder::with_capacity(&self.cost, self.layer_block_backward_kernels());
+            bwd_block.stage = Stage::Backward;
+            if self.ft.gradient_checkpointing {
                 // Recompute the layer's forward before differentiating it: the
-                // repeated block is [recompute ++ backward]. Concatenating two
-                // cached traces copies records but prices nothing.
-                let recompute =
-                    self.layer_records(Stage::Backward, LayerKind::Forward, batch, seq_len);
-                let mut combined = Vec::with_capacity(recompute.len() + bwd_layer.len());
-                combined.extend_from_slice(&recompute);
-                combined.extend_from_slice(&bwd_layer);
-                Arc::new(combined)
-            } else {
-                bwd_layer
-            };
+                // repeated block is [recompute ++ backward].
+                self.emit_layer_forward(&mut bwd_block, batch, seq_len);
+            }
+            self.emit_layer_backward(&mut bwd_block, batch, seq_len);
             (head_bwd, bwd_block)
         };
 
@@ -210,10 +160,10 @@ impl StepSimulator {
         StepTrace::from_segments(
             vec![
                 TraceSegment::once(prologue.records),
-                TraceSegment::repeated(fwd_layer, layers),
+                TraceSegment::repeated(fwd_layer.records, layers),
                 TraceSegment::once(head.records),
                 TraceSegment::once(head_bwd.records),
-                TraceSegment::repeated(bwd_block, layers),
+                TraceSegment::repeated(bwd_block.records, layers),
                 TraceSegment::once(opt.records),
             ],
             batch,
@@ -260,73 +210,11 @@ impl StepSimulator {
         StepTrace::from_records(b.records, batch, seq_len, self.model.is_attention())
     }
 
-    /// Snapshot of the trace cache's hit/miss counters.
+    /// Compatibility shim returning all-zero counters: the simulator has no
+    /// trace cache. `ftbench` still reads it; it goes when the benchmark
+    /// drops its `sim.step.trace_*` rows.
     pub fn cache_stats(&self) -> CacheStats {
-        let cache = self.cache.lock().expect("trace cache poisoned");
-        CacheStats {
-            hits: cache.hits,
-            misses: cache.misses,
-            entries: cache.entries.len(),
-        }
-    }
-
-    /// Looks up (or computes once) the priced trace of one layer half.
-    fn layer_records(
-        &self,
-        stage: Stage,
-        kind: LayerKind,
-        batch: usize,
-        seq_len: usize,
-    ) -> Arc<Vec<KernelRecord>> {
-        let key = TraceKey {
-            stage,
-            kind,
-            batch,
-            seq_len,
-        };
-        {
-            let mut cache = self.cache.lock().expect("trace cache poisoned");
-            if let Some(records) = cache.entries.get(&key).cloned() {
-                cache.hits += 1;
-                if ftsim_obs::enabled() {
-                    cache_obs().0.add(1);
-                }
-                return records;
-            }
-        }
-        // Price outside the lock so concurrent sweeps over different shapes
-        // never serialize on each other; a racing duplicate computation is
-        // deterministic and the first insert wins.
-        let _span = ftsim_obs::span_lazy("sim.step", || {
-            format!("layer_trace:{}:{kind:?}", stage.label())
-        });
-        let built = Arc::new(self.build_layer_records(stage, kind, batch, seq_len));
-        let mut cache = self.cache.lock().expect("trace cache poisoned");
-        cache.misses += 1;
-        if ftsim_obs::enabled() {
-            cache_obs().1.add(1);
-        }
-        cache.entries.entry(key).or_insert(built).clone()
-    }
-
-    fn build_layer_records(
-        &self,
-        stage: Stage,
-        kind: LayerKind,
-        batch: usize,
-        seq_len: usize,
-    ) -> Vec<KernelRecord> {
-        let capacity = match kind {
-            LayerKind::Forward => self.layer_forward_kernels(),
-            LayerKind::Backward => self.layer_backward_kernels(),
-        };
-        let mut b = TraceBuilder::with_capacity(&self.cost, capacity);
-        b.stage = stage;
-        match kind {
-            LayerKind::Forward => self.emit_layer_forward(&mut b, batch, seq_len),
-            LayerKind::Backward => self.emit_layer_backward(&mut b, batch, seq_len),
-        }
-        b.records
+        CacheStats::default()
     }
 
     /// Tokens routed to each expert under the configured sparsity, assuming
@@ -400,6 +288,17 @@ impl StepSimulator {
         self.model.moe.num_experts * per_expert + 1 + self.mixer_backward_kernels() + 1
     }
 
+    /// The repeated backward block: the checkpointing re-computation of
+    /// the layer's forward, if enabled, then its backward.
+    fn layer_block_backward_kernels(&self) -> usize {
+        let recompute = if self.ft.gradient_checkpointing {
+            self.layer_forward_kernels()
+        } else {
+            0
+        };
+        recompute + self.layer_backward_kernels()
+    }
+
     fn head_kernels(&self) -> usize {
         3
     }
@@ -416,16 +315,11 @@ impl StepSimulator {
     #[cfg(test)]
     fn step_kernels(&self) -> usize {
         let layers = self.model.num_layers;
-        let recompute = if self.ft.gradient_checkpointing {
-            self.layer_forward_kernels()
-        } else {
-            0
-        };
         self.embedding_kernels()
             + layers * self.layer_forward_kernels()
             + self.head_kernels()
             + self.head_backward_kernels()
-            + layers * (recompute + self.layer_backward_kernels())
+            + layers * self.layer_block_backward_kernels()
             + self.optimizer_kernels()
     }
 
@@ -990,54 +884,29 @@ mod tests {
     }
 
     #[test]
-    fn cache_computes_each_layer_trace_once() {
-        // Mixtral has 32 layers; with gradient checkpointing a step needs
-        // exactly 3 distinct layer traces (forward, backward, recompute) —
-        // not 32 × those.
+    fn step_prices_one_layer_per_layer_half() {
+        // Mixtral has 32 layers. With gradient checkpointing a step prices
+        // one layer's forward, re-computation and backward kernels, plus
+        // the one-off embedding, head and optimizer kernels, and replays
+        // the layer halves; it never prices 32 × those. Nothing carries
+        // over, so the second step prices the same count again.
         let sim = mixtral_sim(FineTuneConfig::qlora_sparse());
         assert!(sim.finetune().gradient_checkpointing);
         assert!(sim.model().num_layers >= 32);
-        let t = sim.simulate_step(2, 128);
-        let stats = sim.cache_stats();
-        assert_eq!(stats.misses, 3, "{stats:?}");
-        assert_eq!(stats.entries, 3, "{stats:?}");
-        assert!(
-            t.unique_kernel_count() < t.kernel_count() / 10,
-            "compression too weak: {} unique of {}",
-            t.unique_kernel_count(),
-            t.kernel_count()
-        );
-
-        // A second step at the same shape is answered entirely from cache.
-        sim.simulate_step(2, 128);
-        let stats = sim.cache_stats();
-        assert_eq!(stats.misses, 3, "{stats:?}");
-        assert_eq!(stats.hits, 3, "{stats:?}");
-
-        // A new shape adds exactly three more computations.
-        sim.simulate_step(4, 128);
-        assert_eq!(sim.cache_stats().misses, 6);
-    }
-
-    #[test]
-    fn trace_cache_counters_mirror_into_registry() {
-        let sim = mixtral_sim(FineTuneConfig::qlora_sparse());
-        let registry = ftsim_obs::registry();
-        let hits0 = registry.counter("sim.trace_cache.hits").get();
-        let misses0 = registry.counter("sim.trace_cache.misses").get();
-        ftsim_obs::enable();
-        sim.simulate_step(2, 128);
-        sim.simulate_step(2, 128);
-        ftsim_obs::disable();
-        let stats = sim.cache_stats();
-        assert_eq!(stats.misses, 3);
-        assert_eq!(stats.hits, 3);
-        // The registry is process-global (other tests may add concurrently),
-        // so assert our contribution as a lower bound on the delta.
-        let hits = registry.counter("sim.trace_cache.hits").get() - hits0;
-        let misses = registry.counter("sim.trace_cache.misses").get() - misses0;
-        assert!(hits >= stats.hits, "hit delta {hits}");
-        assert!(misses >= stats.misses, "miss delta {misses}");
+        let one_layer = sim.embedding_kernels()
+            + sim.layer_forward_kernels()
+            + sim.head_kernels()
+            + sim.head_backward_kernels()
+            + sim.layer_block_backward_kernels()
+            + sim.optimizer_kernels();
+        for _ in 0..2 {
+            let before = PRICED.with(|n| n.get());
+            let t = sim.simulate_step(2, 128);
+            assert_eq!(PRICED.with(|n| n.get()) - before, one_layer);
+            assert_eq!(t.unique_kernel_count(), one_layer);
+            assert_eq!(t.kernel_count(), sim.step_kernels());
+            assert!(t.kernel_count() > 10 * one_layer);
+        }
     }
 
     #[test]
@@ -1051,10 +920,12 @@ mod tests {
                 sim.model().name,
                 sim.finetune().method,
             );
-            let fwd = sim.build_layer_records(Stage::Forward, LayerKind::Forward, 2, 96);
-            assert_eq!(sim.layer_forward_kernels(), fwd.len());
-            let bwd = sim.build_layer_records(Stage::Backward, LayerKind::Backward, 2, 96);
-            assert_eq!(sim.layer_backward_kernels(), bwd.len());
+            let mut fwd = TraceBuilder::with_capacity(&sim.cost, 0);
+            sim.emit_layer_forward(&mut fwd, 2, 96);
+            assert_eq!(sim.layer_forward_kernels(), fwd.records.len());
+            let mut bwd = TraceBuilder::with_capacity(&sim.cost, 0);
+            sim.emit_layer_backward(&mut bwd, 2, 96);
+            assert_eq!(sim.layer_backward_kernels(), bwd.records.len());
         }
     }
 

@@ -89,9 +89,7 @@ pub struct KernelRecord {
 /// Transformer steps launch an identical per-layer trace `num_layers` times;
 /// storing the trace once with an explicit repeat count makes [`StepTrace`]
 /// construction O(kernels) instead of O(layers × kernels). The records are
-/// behind an [`Arc`] so the memoizing [`crate::step::TraceCache`] can share
-/// one priced layer trace across segments, steps, and threads without
-/// copying it.
+/// behind an [`Arc`], so cloning a trace shares them rather than copying.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceSegment {
     records: Arc<Vec<KernelRecord>>,

@@ -27,7 +27,6 @@ fn sweep_metrics(threads: usize) -> ftsim_obs::Snapshot {
 fn sweep_metrics_are_thread_count_invariant() {
     ftsim_obs::enable();
     let serial = sweep_metrics(1);
-    assert!(serial.counters["sim.trace_cache.misses"] > 0, "{serial:?}");
     assert!(serial.counters["gpu.cost.kernels_priced"] > 0, "{serial:?}");
     for run in 0..10 {
         let parallel = sweep_metrics(4);
