@@ -7,7 +7,7 @@
 
 use ftsim_obs::metrics::HistogramSnapshot;
 use ftsim_obs::{DiffConfig, QuantileSketch, SketchConfig, Snapshot};
-use ftsim_serve::{LoadgenConfig, Mix, ServeConfig};
+use ftsim_serve::ServeConfig;
 use serde_json::Value;
 
 use crate::{experiment_ids, extra_experiment_ids};
@@ -30,15 +30,7 @@ pub const USAGE: &str = "usage: repro [--list] [--out DIR] <all | id...>
            answer plan/estimate/sweep queries over a line protocol
            (one JSON scenario per line; {\"query\":\"shutdown\"} stops it,
            {\"query\":\"metrics\"} answers a Prometheus-style exposition
-           ending with `# EOF`)
-       repro loadgen [--addr HOST:PORT] [--connections N] [--requests N]
-                     [--pipeline N] [--scenarios N]
-                     [--mix plan=8,estimate=3,sweep=1] [--seed N]
-                     [--slo-target-p99-us US] [--slo-error-budget FRACTION]
-                     [--out DIR] [--shutdown]
-           closed-loop planner benchmark; without --addr it spawns an
-           in-process server; --out writes bench_serve.json +
-           serve_metrics.json + serve_slo.json";
+           ending with `# EOF`)";
 
 /// Usage text plus the valid experiment ids.
 pub fn usage() -> String {
@@ -70,8 +62,6 @@ pub enum Command {
     },
     /// Long-running planner-as-a-service TCP server.
     Serve { config: ServeConfig },
-    /// Closed-loop load generator against a serve endpoint.
-    Loadgen { config: LoadgenConfig },
 }
 
 /// Parses `args` (without the program name). Errors are user-facing
@@ -88,9 +78,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     }
     if args[0] == "serve" {
         return parse_serve(&args[1..]);
-    }
-    if args[0] == "loadgen" {
-        return parse_loadgen(&args[1..]);
     }
 
     let valid = experiment_ids();
@@ -243,86 +230,6 @@ fn parse_serve(args: &[String]) -> Result<Command, String> {
         }
     }
     Ok(Command::Serve { config })
-}
-
-/// Parses `plan=8,estimate=3,sweep=1` (any subset; omitted kinds keep their
-/// default weight).
-fn parse_mix(spec: &str) -> Result<Mix, String> {
-    let mut mix = Mix::default();
-    for part in spec.split(',').filter(|p| !p.is_empty()) {
-        let (kind, weight) = part
-            .split_once('=')
-            .ok_or_else(|| format!("invalid mix component {part:?} (want kind=weight)"))?;
-        let weight: u32 = weight
-            .parse()
-            .map_err(|_| format!("invalid mix weight in {part:?}"))?;
-        match kind {
-            "plan" => mix.plan = weight,
-            "estimate" => mix.estimate = weight,
-            "sweep" => mix.sweep = weight,
-            other => return Err(format!("unknown mix kind {other:?} in {spec:?}")),
-        }
-    }
-    if mix.plan == 0 && mix.estimate == 0 && mix.sweep == 0 {
-        return Err(format!("mix {spec:?} has zero total weight"));
-    }
-    Ok(mix)
-}
-
-fn parse_loadgen(args: &[String]) -> Result<Command, String> {
-    let mut config = LoadgenConfig::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => {
-                let a = it
-                    .next()
-                    .cloned()
-                    .ok_or_else(|| "--addr requires HOST:PORT".to_string())?;
-                config.addr = Some(a);
-            }
-            "--connections" => config.connections = positive("--connections", it.next())?,
-            "--requests" => config.requests = positive("--requests", it.next())?,
-            "--pipeline" => config.pipeline = positive("--pipeline", it.next())?,
-            "--scenarios" => config.scenarios = positive("--scenarios", it.next())?,
-            "--seed" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--seed requires a value".to_string())?;
-                config.seed = v
-                    .parse()
-                    .map_err(|_| format!("invalid --seed value {v:?}"))?;
-            }
-            "--mix" => {
-                let spec = it
-                    .next()
-                    .ok_or_else(|| "--mix requires plan=W,estimate=W,sweep=W".to_string())?;
-                config.mix = parse_mix(spec)?;
-            }
-            "--out" => {
-                let dir = it
-                    .next()
-                    .cloned()
-                    .ok_or_else(|| "--out requires a directory".to_string())?;
-                config.out_dir = Some(dir);
-            }
-            "--shutdown" => config.shutdown = true,
-            "--slo-target-p99-us" => {
-                config.slo_target_p99_us = positive_f64("--slo-target-p99-us", it.next())?;
-            }
-            "--slo-error-budget" => {
-                let budget = positive_f64("--slo-error-budget", it.next())?;
-                if budget >= 1.0 {
-                    return Err(format!(
-                        "--slo-error-budget must be a fraction below 1, got {budget}"
-                    ));
-                }
-                config.slo_error_budget = budget;
-            }
-            other => return Err(format!("unknown loadgen argument {other:?}\n{USAGE}")),
-        }
-    }
-    Ok(Command::Loadgen { config })
 }
 
 fn as_f64(v: &Value) -> Option<f64> {
@@ -575,76 +482,13 @@ mod tests {
     }
 
     #[test]
-    fn loadgen_parses_the_full_flag_set() {
-        let cmd = parse(&args(&[
-            "loadgen",
-            "--addr",
-            "127.0.0.1:7878",
-            "--connections",
-            "8",
-            "--requests",
-            "1000",
-            "--pipeline",
-            "16",
-            "--scenarios",
-            "12",
-            "--mix",
-            "plan=5,sweep=2",
-            "--seed",
-            "7",
-            "--slo-target-p99-us",
-            "5000000",
-            "--slo-error-budget",
-            "0.005",
-            "--out",
-            "results",
-            "--shutdown",
-        ]))
-        .unwrap();
-        let Command::Loadgen { config } = cmd else {
-            panic!("expected Loadgen");
-        };
-        assert_eq!(config.addr.as_deref(), Some("127.0.0.1:7878"));
-        assert_eq!(config.connections, 8);
-        assert_eq!(config.requests, 1000);
-        assert_eq!(config.pipeline, 16);
-        assert_eq!(config.scenarios, 12);
-        assert_eq!(
-            (config.mix.plan, config.mix.estimate, config.mix.sweep),
-            (5, 3, 2)
-        );
-        assert_eq!(config.seed, 7);
-        assert_eq!(config.out_dir.as_deref(), Some("results"));
-        assert!(config.shutdown);
-        assert_eq!(config.slo_target_p99_us, 5_000_000.0);
-        assert_eq!(config.slo_error_budget, 0.005);
-        assert!(parse(&args(&["loadgen", "--slo-error-budget", "1.0"])).is_err());
-    }
-
-    #[test]
-    fn loadgen_defaults_and_bad_mixes_are_strict() {
-        let Command::Loadgen { config } = parse(&args(&["loadgen"])).unwrap() else {
-            panic!("expected Loadgen");
-        };
-        assert_eq!(config.addr, None, "no addr means in-process server");
-        assert!(parse(&args(&["loadgen", "--mix", "plan"])).is_err());
-        assert!(parse(&args(&["loadgen", "--mix", "train=3"])).is_err());
-        assert!(parse(&args(&["loadgen", "--mix", "plan=0,estimate=0,sweep=0"])).is_err());
-        assert!(parse(&args(&["loadgen", "--requests", "0"])).is_err());
-        assert!(parse(&args(&["loadgen", "junk"])).is_err());
-    }
-
-    #[test]
     fn usage_lists_every_subcommand() {
         for needle in [
             "obs-diff",
             "serve",
-            "loadgen",
-            "--mix",
             "--slo-target-p99-us",
             "--slo-error-budget",
             "metrics",
-            "serve_slo.json",
             "cluster",
             "alltoall",
             "cluster_costs.json",

@@ -7,7 +7,6 @@
 //! repro --list               # list experiment ids
 //! repro obs-diff a.json b.json   # metrics regression gate (exit 1 on fail)
 //! repro serve                # planner-as-a-service TCP endpoint
-//! repro loadgen --out results    # benchmark it, write bench_serve.json
 //! ```
 //!
 //! Experiments are independent, so they fan out across the engine's worker
@@ -52,9 +51,6 @@ fn main() {
         Command::Serve { config } => {
             std::process::exit(serve(config));
         }
-        Command::Loadgen { config } => {
-            std::process::exit(loadgen(&config));
-        }
         Command::Run { ids, out_dir } => {
             std::process::exit(run_experiments(&ids, &out_dir));
         }
@@ -91,29 +87,6 @@ fn serve(config: ftsim_serve::ServeConfig) -> i32 {
         stats.hits, stats.misses, stats.coalesced, stats.evictions
     );
     0
-}
-
-fn loadgen(config: &ftsim_serve::LoadgenConfig) -> i32 {
-    ftsim_obs::enable();
-    let report = match ftsim_serve::loadgen::run(config) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("loadgen: {e}");
-            return 1;
-        }
-    };
-    println!(
-        "loadgen: {} requests in {:.3}s — {:.0} qps, p50 {:.0}us p90 {:.0}us p99 {:.0}us max {:.0}us, {} errors",
-        report.requests,
-        report.elapsed_secs,
-        report.qps,
-        report.p50_us,
-        report.p90_us,
-        report.p99_us,
-        report.max_us,
-        report.errors
-    );
-    i32::from(report.errors > 0)
 }
 
 fn run_experiments(ids: &[String], out_dir: &str) -> i32 {

@@ -16,9 +16,10 @@
 //!   violations at all. Evaluated per rolling window (fast-burn alerts
 //!   come from short windows, slow burns from long ones) and cumulatively.
 //!
-//! The cumulative status is what CI gates on (`baselines/serve_slo.json`):
-//! wall-clock noise moves windowed counts, but a healthy deterministic run
-//! has cumulative `violations == 0` and `burn_rate == 0` exactly.
+//! The cumulative status is what the serving gate test checks against
+//! `baselines/serve_slo.json`: wall-clock noise moves windowed counts, but
+//! a healthy deterministic run has cumulative `violations == 0` and
+//! `burn_rate == 0` exactly.
 
 use crate::timeseries::WindowedSeries;
 

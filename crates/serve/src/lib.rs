@@ -21,18 +21,13 @@
 //! [`Planner`] computes each answer from scratch on immutable plans, one
 //! per model × recipe (at most eight), so distinct scenarios cannot grow
 //! memory.
-//!
-//! [`loadgen`] is the matching closed-loop benchmark driver; it issues a
-//! deterministic query stream so CI can gate on exact cache counters.
 
 pub mod cache;
 pub mod engine;
-pub mod loadgen;
 pub mod server;
 pub mod spec;
 
 pub use cache::{CacheStats, ScenarioCache};
 pub use engine::Planner;
-pub use loadgen::{LoadgenConfig, LoadgenReport, Mix};
 pub use server::{ServeConfig, Server};
 pub use spec::{QueryKind, ScenarioSpec};

@@ -50,7 +50,7 @@ fn parse_spec(line: &str) -> ScenarioSpec {
     ScenarioSpec::parse_str(line).expect("generated request is valid")
 }
 
-/// Shared planners so the 64 property cases reuse pooled simulators
+/// Shared planners so the 64 property cases reuse the built plans
 /// instead of rebuilding them per case.
 fn planners() -> &'static (Planner, Planner) {
     static PLANNERS: OnceLock<(Planner, Planner)> = OnceLock::new();

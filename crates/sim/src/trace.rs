@@ -3,7 +3,6 @@
 use ftsim_gpu::{Breakdown, KernelCost, KernelDesc, KernelKind, UtilizationSummary};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
 
 /// The three stages of a training step (paper Fig. 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -88,26 +87,22 @@ pub struct KernelRecord {
 ///
 /// Transformer steps launch an identical per-layer trace `num_layers` times;
 /// storing the trace once with an explicit repeat count makes [`StepTrace`]
-/// construction O(kernels) instead of O(layers × kernels). The records are
-/// behind an [`Arc`], so cloning a trace shares them rather than copying.
+/// construction O(kernels) instead of O(layers × kernels).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceSegment {
-    records: Arc<Vec<KernelRecord>>,
+    records: Vec<KernelRecord>,
     repeat: usize,
 }
 
 impl TraceSegment {
     /// A segment that plays its records once.
-    pub fn once(records: impl Into<Arc<Vec<KernelRecord>>>) -> Self {
+    pub fn once(records: Vec<KernelRecord>) -> Self {
         TraceSegment::repeated(records, 1)
     }
 
     /// A segment that plays its records `repeat` times.
-    pub fn repeated(records: impl Into<Arc<Vec<KernelRecord>>>, repeat: usize) -> Self {
-        TraceSegment {
-            records: records.into(),
-            repeat,
-        }
+    pub fn repeated(records: Vec<KernelRecord>, repeat: usize) -> Self {
+        TraceSegment { records, repeat }
     }
 
     /// The distinct records stored (one repetition's worth).

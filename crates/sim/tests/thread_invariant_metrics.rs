@@ -8,8 +8,7 @@ use ftsim_gpu::{CostModel, GpuSpec};
 use ftsim_model::{presets, FineTuneConfig};
 use ftsim_sim::{StepSimulator, ThroughputSweep};
 
-/// Registry delta (counters and gauges) of one sweep on a fresh simulator,
-/// so every run starts from the same empty trace cache.
+/// Registry delta (counters and gauges) of one sweep on a fresh simulator.
 fn sweep_metrics(threads: usize) -> ftsim_obs::Snapshot {
     let sim = StepSimulator::new(
         presets::mixtral_8x7b(),
