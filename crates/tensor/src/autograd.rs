@@ -431,6 +431,121 @@ impl Var {
         }))
     }
 
+    /// Rows `rows` of an `[m, n]` matrix, in the order given, as a
+    /// `[rows.len(), n]` matrix — the token gather of an MoE expert
+    /// (`hidden_states[top_x]` in the paper's Fig. 12).
+    ///
+    /// The backward pass adds each upstream row into the row it was read
+    /// from and leaves every other row of the gradient at zero.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `self` is not a matrix or a row index is out of
+    /// range.
+    pub fn gather_rows(&self, rows: &[usize]) -> Result<Var, TensorError> {
+        let (value, m, n) = self.with_value(|x| {
+            let (m, n) = x.shape().as_matrix().ok_or_else(|| {
+                TensorError::InvalidArgument("gather_rows requires a matrix".into())
+            })?;
+            check_rows("gather_rows", rows, m)?;
+            Ok((gather(x, rows), m, n))
+        })?;
+        let rows = rows.to_vec();
+        Ok(self.unary(value, move |a, up| {
+            let mut dx = Tensor::zeros(Shape::matrix(m, n));
+            for (i, &r) in rows.iter().enumerate() {
+                crate::parallel::add_assign_slices(
+                    &mut dx.data_mut()[r * n..(r + 1) * n],
+                    up.row(i),
+                );
+            }
+            a.accumulate_grad_owned(dx);
+        }))
+    }
+
+    /// Entries `(rows[i], col)` of an `[m, n]` matrix as a `[rows.len(), 1]`
+    /// column — the routing weights of one expert's tokens
+    /// (`routing_weights[top_x, idx]` in the paper's Fig. 12).
+    ///
+    /// The backward pass writes only the entries it read.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `self` is not a matrix or a row or the column is
+    /// out of range.
+    pub fn gather_column(&self, rows: &[usize], col: usize) -> Result<Var, TensorError> {
+        let (value, m, n) = self.with_value(|x| {
+            let (m, n) = x.shape().as_matrix().ok_or_else(|| {
+                TensorError::InvalidArgument("gather_column requires a matrix".into())
+            })?;
+            if col >= n {
+                return Err(TensorError::InvalidArgument(format!(
+                    "gather_column: column {col} out of range for {n} columns"
+                )));
+            }
+            check_rows("gather_column", rows, m)?;
+            let mut out = Tensor::zeros(Shape::matrix(rows.len(), 1));
+            for (o, &r) in out.data_mut().iter_mut().zip(rows) {
+                *o = x.get2(r, col);
+            }
+            Ok((out, m, n))
+        })?;
+        let rows = rows.to_vec();
+        Ok(self.unary(value, move |a, up| {
+            let mut dx = Tensor::zeros(Shape::matrix(m, n));
+            for (&r, &g) in rows.iter().zip(up.data()) {
+                dx.set2(r, col, dx.get2(r, col) + g);
+            }
+            a.accumulate_grad_owned(dx);
+        }))
+    }
+
+    /// `self` with row `i` of `src` added into row `rows[i]`, for every `i`
+    /// in order — the combine step of an MoE layer
+    /// (`final_hidden_states.index_add_` in the paper's Fig. 12).
+    ///
+    /// The backward pass hands `self` the upstream gradient unchanged and
+    /// `src` the upstream rows it was added into.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if either operand is not a matrix, `src` is not
+    /// `[rows.len(), n]` for an `[m, n]` `self`, or a row index is out of
+    /// range.
+    pub fn index_add_rows(&self, rows: &[usize], src: &Var) -> Result<Var, TensorError> {
+        let value = self.with_value(|x| {
+            src.with_value(|s| {
+                let (m, n) = x.shape().as_matrix().ok_or_else(|| {
+                    TensorError::InvalidArgument("index_add_rows requires a matrix".into())
+                })?;
+                if s.shape().as_matrix() != Some((rows.len(), n)) {
+                    return Err(TensorError::ShapeMismatch {
+                        op: "index_add_rows",
+                        lhs: x.shape().clone(),
+                        rhs: s.shape().clone(),
+                    });
+                }
+                check_rows("index_add_rows", rows, m)?;
+                let mut out = Tensor::zeros(Shape::matrix(m, n));
+                out.data_mut().copy_from_slice(x.data());
+                for (i, &r) in rows.iter().enumerate() {
+                    crate::parallel::add_assign_slices(
+                        &mut out.data_mut()[r * n..(r + 1) * n],
+                        s.row(i),
+                    );
+                }
+                Ok(out)
+            })
+        })?;
+        let rows = rows.to_vec();
+        Ok(Var::binary(self, src, value, move |a, b, up| {
+            a.accumulate_grad(up);
+            if b.requires_grad() {
+                b.accumulate_grad_owned(gather(up, &rows));
+            }
+        }))
+    }
+
     /// Multiplies every element by the constant `s`.
     pub fn scale(&self, s: f32) -> Var {
         let value = self.value().scale(s);
@@ -716,6 +831,26 @@ impl Var {
             })
             .unwrap_or_else(|_| Tape::new().backward(self));
     }
+}
+
+/// Errors unless every index in `rows` is below `m`.
+fn check_rows(op: &str, rows: &[usize], m: usize) -> Result<(), TensorError> {
+    match rows.iter().find(|&&r| r >= m) {
+        Some(r) => Err(TensorError::InvalidArgument(format!(
+            "{op}: row {r} out of range for {m} rows"
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// Rows `rows` of matrix `x` (indices already checked), in order.
+fn gather(x: &Tensor, rows: &[usize]) -> Tensor {
+    let n = x.shape().as_matrix().expect("matrix").1;
+    let mut out = Tensor::zeros(Shape::matrix(rows.len(), n));
+    for (dst, &r) in out.data_mut().chunks_exact_mut(n.max(1)).zip(rows) {
+        dst.copy_from_slice(x.row(r));
+    }
+    out
 }
 
 /// The streaming fused backward path for [`Var::linear_act`]: folds `act'`
@@ -1046,6 +1181,96 @@ mod tests {
             Tensor::from_rows(&[&[2.0], &[-1.0]]).unwrap(),
             1e-2,
         );
+    }
+
+    /// `Σ probe ⊙ v²`: a nonlinear read-out with a distinct weight per entry.
+    fn weighted_square_sum(v: &Var, probe: &Tensor) -> Var {
+        v.mul(v)
+            .unwrap()
+            .mul(&Var::constant(probe.clone()))
+            .unwrap()
+            .sum()
+    }
+
+    /// The gradient of a parameter read by `build`, after one backward pass.
+    fn grad_of(build: impl Fn(&Var) -> Var, init: Tensor) -> Tensor {
+        let p = Var::parameter(init);
+        build(&p).backward();
+        p.grad().expect("gradient present")
+    }
+
+    #[test]
+    fn grad_through_gather_rows() {
+        // Row 2 is read twice, row 1 never.
+        let probe = Tensor::from_rows(&[&[0.5, -1.0], &[2.0, 0.25], &[1.5, -0.5]]).unwrap();
+        let build = move |x: &Var| weighted_square_sum(&x.gather_rows(&[2, 0, 2]).unwrap(), &probe);
+        let init = Tensor::from_rows(&[&[0.3, 0.7], &[-0.2, 0.9], &[1.1, -0.4]]).unwrap();
+        check_grad(&build, init.clone(), 2e-2);
+        assert_eq!(grad_of(build, init).row(1), &[0.0, 0.0], "unread row");
+    }
+
+    #[test]
+    fn grad_through_gather_column() {
+        let probe = Tensor::from_rows(&[&[0.5], &[-2.0]]).unwrap();
+        let build =
+            move |x: &Var| weighted_square_sum(&x.gather_column(&[2, 0], 1).unwrap(), &probe);
+        let init = Tensor::from_rows(&[&[0.3, 0.7], &[-0.2, 0.9], &[1.1, -0.4]]).unwrap();
+        check_grad(&build, init.clone(), 2e-2);
+        let g = grad_of(build, init);
+        for (i, &v) in g.data().iter().enumerate() {
+            if i != 1 && i != 5 {
+                assert_eq!(v, 0.0, "unread entry {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn grad_through_index_add_rows() {
+        let probe = Tensor::from_rows(&[&[0.5, -1.0], &[2.0, 0.25], &[1.5, -0.5]]).unwrap();
+        let base = Tensor::from_rows(&[&[0.1, 0.2], &[0.3, 0.4], &[0.5, 0.6]]).unwrap();
+        let src = Tensor::from_rows(&[&[0.3, 0.7], &[-0.2, 0.9]]).unwrap();
+        let (p1, b1) = (probe.clone(), base.clone());
+        check_grad(
+            move |s| {
+                let out = Var::constant(b1.clone())
+                    .index_add_rows(&[2, 0], s)
+                    .unwrap();
+                weighted_square_sum(&out, &p1)
+            },
+            src.clone(),
+            2e-2,
+        );
+        check_grad(
+            move |b| {
+                let out = b
+                    .index_add_rows(&[2, 0], &Var::constant(src.clone()))
+                    .unwrap();
+                weighted_square_sum(&out, &probe)
+            },
+            base,
+            2e-2,
+        );
+    }
+
+    #[test]
+    fn gather_and_index_add_reject_bad_indices_and_shapes() {
+        let x = Var::parameter(Tensor::zeros([3, 2]));
+        assert!(x.gather_rows(&[0, 2]).is_ok());
+        assert!(x.gather_rows(&[3]).is_err());
+        assert!(x.gather_column(&[0, 2], 1).is_ok());
+        assert!(x.gather_column(&[0], 2).is_err());
+        assert!(x.gather_column(&[5], 0).is_err());
+        let src = Var::parameter(Tensor::zeros([2, 2]));
+        assert!(x.index_add_rows(&[0, 2], &src).is_ok());
+        assert!(x.index_add_rows(&[0, 3], &src).is_err());
+        assert!(x.index_add_rows(&[0], &src).is_err());
+        assert!(x
+            .index_add_rows(&[0, 1], &Var::constant(Tensor::zeros([2, 3])))
+            .is_err());
+        let scalar = Var::parameter(Tensor::scalar(1.0));
+        assert!(scalar.gather_rows(&[0]).is_err());
+        assert!(scalar.gather_column(&[0], 0).is_err());
+        assert!(scalar.index_add_rows(&[0], &src).is_err());
     }
 
     fn composed_linear(x: &Var, w: &Var, b: &Var, act: Activation) -> Var {

@@ -114,6 +114,10 @@ pub enum ExpertKind {
 }
 
 /// One expert network of an MoE layer.
+///
+/// An [`MoeLayer`] runs each expert on its routed tokens only
+/// ([`Expert::forward_rows`]); [`Expert::forward`] applies it to a whole
+/// batch.
 #[derive(Debug, Clone)]
 pub struct Expert {
     kind: ExpertKind,
@@ -146,14 +150,43 @@ impl Expert {
         self.forward_with(x, true)
     }
 
-    /// Applies the expert using either the fused kernels (`fused = true`,
-    /// the production path) or the composed naive ops (`fused = false`, the
-    /// retained reference path); the two are bit-identical.
+    /// Applies the expert to every row of `x` using either the fused kernels
+    /// (`fused = true`, the production path) or the composed naive ops
+    /// (`fused = false`, the retained reference path); the two are
+    /// bit-identical.
     ///
     /// # Errors
     ///
     /// Propagates shape errors from the underlying linear layers.
     pub fn forward_with(&self, x: &Var, fused: bool) -> Result<Var, TensorError> {
+        self.apply(&|| Ok(x.clone()), fused)
+    }
+
+    /// Applies the expert to rows `rows` of `x` only, returning a
+    /// `[rows.len(), hidden]` batch whose row `i` is bit-identical to row
+    /// `rows[i]` of [`Expert::forward_with`] on all of `x` (each output row
+    /// depends on its input row alone).
+    ///
+    /// Every linear layer that reads `x` (W1, and W3 for SwiGLU) gathers
+    /// the rows itself, so each layer's input gradient lands in `x`'s
+    /// gradient on its own, in the order the all-rows expert delivers it —
+    /// one shared gather would sum the two first and round differently.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if a row index is out of range; propagates shape
+    /// errors from the underlying linear layers.
+    pub fn forward_rows(&self, x: &Var, rows: &[usize], fused: bool) -> Result<Var, TensorError> {
+        self.apply(&|| x.gather_rows(rows), fused)
+    }
+
+    /// The expert over the input `input()` yields; called once per linear
+    /// layer that reads the input.
+    fn apply(
+        &self,
+        input: &dyn Fn() -> Result<Var, TensorError>,
+        fused: bool,
+    ) -> Result<Var, TensorError> {
         let layer = |l: &Linear, x: &Var, act: Activation| {
             if fused {
                 l.forward_act(x, act)
@@ -163,14 +196,14 @@ impl Expert {
         };
         match self.kind {
             ExpertKind::GeluFfn => {
-                let h = layer(&self.w1, x, Activation::Gelu)?;
+                let h = layer(&self.w1, &input()?, Activation::Gelu)?;
                 layer(&self.w2, &h, Activation::Identity)
             }
             ExpertKind::SwiGlu => {
-                let gate = layer(&self.w1, x, Activation::Silu)?;
+                let gate = layer(&self.w1, &input()?, Activation::Silu)?;
                 let up = layer(
                     self.w3.as_ref().expect("SwiGlu expert always has W3"),
-                    x,
+                    &input()?,
                     Activation::Identity,
                 )?;
                 layer(&self.w2, &gate.mul(&up)?, Activation::Identity)
@@ -246,7 +279,9 @@ impl RoutingStats {
 }
 
 /// A mixture-of-experts layer with top-k softmax gating, implementing the
-/// pseudo-code of the paper's Fig. 12.
+/// pseudo-code of the paper's Fig. 12: each expert runs on the tokens routed
+/// to it and nothing else, so top-2 of 8 experts does about a quarter of
+/// the dense expert work.
 ///
 /// With `top_k == num_experts` this is the *dense* configuration; the paper's
 /// *sparse* configuration uses `top_k = 2` of 8 experts.
@@ -378,6 +413,16 @@ impl MoeLayer {
     /// kernel, `fused = false` uses the composed naive ops. Both paths are
     /// bit-identical in values and gradients.
     ///
+    /// The expert loop of Fig. 12: top-k selection records each expert's
+    /// routed token rows in ascending order; each expert with at least one
+    /// token runs on those rows only ([`Expert::forward_rows`]), its output
+    /// rows are weighted by its own gate entries `(row, e)`, and the
+    /// weighted rows are index-added into a zero `[tokens, hidden]` output
+    /// in expert order. Values and gradients are bit-identical to running
+    /// every active expert on all tokens and masking the unrouted rows with
+    /// a zero gate weight: the skipped rows only ever contributed exact
+    /// zeros.
+    ///
     /// # Errors
     ///
     /// Propagates shape errors from the gate or experts.
@@ -387,43 +432,34 @@ impl MoeLayer {
         } else {
             self.gate.forward_naive(x, Activation::Identity)?
         };
-        let logits_val = logits.value();
-        let (tokens, e) = logits_val
-            .shape()
-            .as_matrix()
-            .expect("gate output is a matrix");
         // Top-k selection (non-differentiable index choice, like torch.topk).
-        let mut masks = vec![vec![false; e]; tokens];
-        let mut stats = RoutingStats {
-            tokens_per_expert: vec![0; e],
-        };
-        for (t, mask) in masks.iter_mut().enumerate() {
-            for (idx, _) in ops::topk(logits_val.row(t), self.top_k) {
-                mask[idx] = true;
-                stats.tokens_per_expert[idx] += 1;
+        let (masks, routed) = logits.with_value(|l| {
+            let (tokens, e) = l.shape().as_matrix().expect("gate output is a matrix");
+            let mut masks = vec![vec![false; e]; tokens];
+            let mut routed = vec![Vec::new(); e];
+            for (t, mask) in masks.iter_mut().enumerate() {
+                for (idx, _) in ops::topk(l.row(t), self.top_k) {
+                    mask[idx] = true;
+                    routed[idx].push(t);
+                }
             }
-        }
+            (masks, routed)
+        });
+        let stats = RoutingStats {
+            tokens_per_expert: routed.iter().map(Vec::len).collect(),
+        };
         // softmax over the selected experts only (paper Fig. 12, lines 2-3).
         let weights = logits.masked_softmax_rows(&masks)?;
-        let weights_val = weights.value();
-
-        // Combine expert outputs: out = Σ_e  w[:, e] ⊙ expert_e(x).
-        // Experts that received no token are skipped entirely (their gate
-        // weight column is identically zero), matching the sparse compute
-        // path of Fig. 12's expert loop.
-        let mut out: Option<Var> = None;
-        for (ei, expert) in self.experts.iter().enumerate() {
-            if stats.tokens_per_expert[ei] == 0 {
+        let mut out = Var::constant(x.with_value(|v| Tensor::zeros(v.shape().clone())));
+        for (ei, (expert, rows)) in self.experts.iter().zip(&routed).enumerate() {
+            if rows.is_empty() {
                 continue;
             }
-            let col = extract_column(&weights, &weights_val, ei)?;
-            let contribution = expert.forward_with(x, fused)?.mul_col(&col)?;
-            out = Some(match out {
-                Some(acc) => acc.add(&contribution)?,
-                None => contribution,
-            });
+            let weighted = expert
+                .forward_rows(x, rows, fused)?
+                .mul_col(&weights.gather_column(rows, ei)?)?;
+            out = out.index_add_rows(rows, &weighted)?;
         }
-        let out = out.expect("top_k >= 1 guarantees at least one active expert");
         Ok((out, stats))
     }
 
@@ -459,24 +495,6 @@ impl MoeLayer {
         }
         Ok(stats)
     }
-}
-
-/// Differentiable extraction of column `col` of `weights` as an `[m, 1]` Var.
-fn extract_column(weights: &Var, value: &Tensor, col: usize) -> Result<Var, TensorError> {
-    let (m, n) = value
-        .shape()
-        .as_matrix()
-        .ok_or_else(|| TensorError::InvalidArgument("extract_column requires a matrix".into()))?;
-    if col >= n {
-        return Err(TensorError::InvalidArgument(format!(
-            "column {col} out of range for {n} columns"
-        )));
-    }
-    // weights [m, n] @ selector [n, 1] keeps gradients flowing to `weights`.
-    let mut selector = Tensor::zeros([n, 1]);
-    selector.set2(col, 0, 1.0);
-    let _ = m;
-    weights.matmul(&Var::constant(selector))
 }
 
 /// Stochastic gradient descent with optional weight decay.
@@ -653,6 +671,105 @@ mod tests {
         assert!(with_grad >= 2, "only {with_grad} parameters got gradients");
         let active = stats.tokens_per_expert.iter().filter(|&&c| c > 0).count();
         assert!(active >= 2);
+    }
+
+    /// The dense-masked layer the routed one replaced, kept as its oracle:
+    /// every expert with at least one token runs on *all* tokens, and an
+    /// `[e, 1]` selector matmul pulls its gate column, which is zero on the
+    /// rows the expert was not routed.
+    fn dense_masked_forward(moe: &MoeLayer, x: &Var, fused: bool) -> (Var, RoutingStats) {
+        let logits = if fused {
+            moe.gate.forward_act(x, Activation::Identity)
+        } else {
+            moe.gate.forward_naive(x, Activation::Identity)
+        }
+        .unwrap();
+        let logits_val = logits.value();
+        let (tokens, e) = logits_val.shape().as_matrix().unwrap();
+        let mut masks = vec![vec![false; e]; tokens];
+        let mut stats = RoutingStats {
+            tokens_per_expert: vec![0; e],
+        };
+        for (t, mask) in masks.iter_mut().enumerate() {
+            for (idx, _) in ops::topk(logits_val.row(t), moe.top_k) {
+                mask[idx] = true;
+                stats.tokens_per_expert[idx] += 1;
+            }
+        }
+        let weights = logits.masked_softmax_rows(&masks).unwrap();
+        let mut out: Option<Var> = None;
+        for (ei, expert) in moe.experts.iter().enumerate() {
+            if stats.tokens_per_expert[ei] == 0 {
+                continue;
+            }
+            let mut selector = Tensor::zeros([e, 1]);
+            selector.set2(ei, 0, 1.0);
+            let col = weights.matmul(&Var::constant(selector)).unwrap();
+            let contribution = expert
+                .forward_with(x, fused)
+                .unwrap()
+                .mul_col(&col)
+                .unwrap();
+            out = Some(match out {
+                Some(acc) => acc.add(&contribution).unwrap(),
+                None => contribution,
+            });
+        }
+        (out.unwrap(), stats)
+    }
+
+    #[test]
+    fn routed_layer_matches_dense_masked_oracle_bitwise() {
+        type Forward = fn(&MoeLayer, &Var, bool) -> (Var, RoutingStats);
+        let routed: Forward = |moe, x, fused| moe.forward_with(x, fused).unwrap();
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let mut starved_batches = 0;
+        for kind in [ExpertKind::GeluFfn, ExpertKind::SwiGlu] {
+            for top_k in [1, 2, 8] {
+                for tokens in [5, 16] {
+                    for fused in [true, false] {
+                        // The same layer and input on each side; the loss
+                        // reads the output through a residual, as moetrain's
+                        // classifier does, so `x` gathers gradient from the
+                        // gate, the experts and the residual.
+                        let run = |forward: Forward| {
+                            let mut rng = StdRng::seed_from_u64(60 + top_k as u64);
+                            let moe = MoeLayer::new(kind, 6, 12, 8, top_k, &mut rng).unwrap();
+                            let x =
+                                Var::parameter(Tensor::rand_uniform([tokens, 6], 1.0, &mut rng));
+                            let probe =
+                                Var::constant(Tensor::rand_uniform([tokens, 6], 1.0, &mut rng));
+                            let (out, stats) = forward(&moe, &x, fused);
+                            out.add(&x).unwrap().mul(&probe).unwrap().sum().backward();
+                            let mut grads: Vec<Option<Vec<u32>>> = moe
+                                .parameters()
+                                .iter()
+                                .map(|p| p.grad().map(|g| bits(&g)))
+                                .collect();
+                            grads.push(x.grad().map(|g| bits(&g)));
+                            (bits(&out.value()), stats.tokens_per_expert, grads)
+                        };
+                        let (out, counts, grads) = run(routed);
+                        let (oracle_out, oracle_counts, oracle_grads) = run(dense_masked_forward);
+                        let case = format!("{kind:?} top-{top_k} {tokens} tokens fused={fused}");
+                        assert_eq!(counts, oracle_counts, "{case}: routing");
+                        assert_eq!(out, oracle_out, "{case}: output");
+                        assert_eq!(grads.len(), oracle_grads.len());
+                        for (i, (g, o)) in grads.iter().zip(&oracle_grads).enumerate() {
+                            assert_eq!(g, o, "{case}: gradient {i}");
+                        }
+                        assert!(grads.last().unwrap().is_some(), "{case}: input gradient");
+                        if counts.contains(&0) {
+                            starved_batches += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            starved_batches > 0,
+            "no batch left an expert without a token"
+        );
     }
 
     #[test]

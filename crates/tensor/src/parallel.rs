@@ -1,8 +1,8 @@
 //! Thread configuration and the matmul microkernel family.
 //!
-//! `ftsim-tensor` cannot depend on `ftsim-sim`'s engine (the dependency
-//! points the other way), so it reads the same `FTSIM_THREADS` environment
-//! variable itself.
+//! The worker-thread count lives here, in the lowest crate that needs it;
+//! `ftsim-sim` re-exports [`thread_count`], so the whole process resolves
+//! `FTSIM_THREADS` once.
 //!
 //! Two kernels live here, both bound by the same accumulation-order
 //! contract (see DESIGN.md "Kernel contracts"):
@@ -12,7 +12,7 @@
 //! * `matmul_microkernel_into` — the production kernel: cache-blocked
 //!   over the inner dimension and tiled into fixed `MR`×`NR` register
 //!   accumulators. Its band tiles, the fused epilogue's bias add, and the
-//!   backward epilogue's `db`/`dw` sweeps dispatch at runtime to explicit
+//!   backward epilogue's `db`/`dx`/`dw` sweeps dispatch at runtime to explicit
 //!   AVX2 bodies in [`crate::simd`] when the host supports them, with the
 //!   scalar tiles as the always-compiled fallback (`FTSIM_NO_SIMD=1`
 //!   forces it).
@@ -54,8 +54,14 @@ pub(crate) const PARALLEL_FLOP_THRESHOLD: usize = 1 << 20;
 
 /// Worker threads to use: `FTSIM_THREADS` if set to a positive integer,
 /// otherwise the machine's available parallelism.
+///
+/// Resolved once per process, on first use, and cached: the fallback
+/// (`available_parallelism`) reads cgroup files on Linux, which cost tens of
+/// microseconds a call, and every matmul asks. Setting the variable after
+/// the first call has no effect.
 pub fn thread_count() -> usize {
-    resolve_thread_count(std::env::var(THREADS_ENV).ok().as_deref())
+    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *THREADS.get_or_init(|| resolve_thread_count(std::env::var(THREADS_ENV).ok().as_deref()))
 }
 
 fn resolve_thread_count(env_value: Option<&str>) -> usize {
@@ -475,6 +481,17 @@ pub(crate) fn linear_act_backward_into(
     if let Some(p) = pre {
         assert_eq!(p.len(), m * n, "pre-activation length");
     }
+    // wᵀ, row p = column p of w, so the dx sweep can run lane-parallel over
+    // c.
+    let wt = dx.is_some().then(|| {
+        let mut wt = vec![0.0f32; n * k];
+        for c in 0..k {
+            for p in 0..n {
+                wt[p * k + c] = w[c * n + p];
+            }
+        }
+        wt
+    });
     for r in 0..m {
         let up_row = &up[r * n..(r + 1) * n];
         match pre {
@@ -490,22 +507,16 @@ pub(crate) fn linear_act_backward_into(
             // Lane-parallel over j: ascending-r order per element preserved.
             add_assign_slices(db, dpre_row);
         }
-        if let Some(dx) = dx.as_deref_mut() {
-            // Stays scalar on purpose: dx[r][c] reduces along the would-be
-            // vector axis (a dot product in ascending p), and any lane-wise
-            // horizontal reduction would reorder those sums and break the
-            // bit-identity contract.
+        if let (Some(dx), Some(wt)) = (dx.as_deref_mut(), &wt) {
+            // Lane-parallel over c, never a horizontal reduction over p:
+            // each p (ascending, zero dpre factors skipped) is one
+            // mul-then-add axpy of wᵀ's row p, so every dx[r][c] adds its
+            // terms in exactly the scalar dot product's order.
             let dx_row = &mut dx[r * k..(r + 1) * k];
-            for (c, slot) in dx_row.iter_mut().enumerate() {
-                let w_row = &w[c * n..(c + 1) * n];
-                let mut acc = *slot;
-                for (p, &g) in dpre_row.iter().enumerate() {
-                    if g == 0.0 {
-                        continue;
-                    }
-                    acc += g * w_row[p];
+            for (p, &g) in dpre_row.iter().enumerate() {
+                if g != 0.0 {
+                    axpy_slices(dx_row, g, &wt[p * k..(p + 1) * k]);
                 }
-                *slot = acc;
             }
         }
         if let Some(dw) = dw.as_deref_mut() {
@@ -564,12 +575,15 @@ mod tests {
     }
 
     #[test]
-    fn env_parsing_matches_engine_semantics() {
-        assert_eq!(resolve_thread_count(Some("3")), 3);
+    fn resolves_env_override_and_defaults() {
+        assert_eq!(resolve_thread_count(Some("4")), 4);
+        assert_eq!(resolve_thread_count(Some(" 2 ")), 2);
+        // Invalid or non-positive values fall back to the machine default.
         let default = resolve_thread_count(None);
         assert!(default >= 1);
         assert_eq!(resolve_thread_count(Some("0")), default);
-        assert_eq!(resolve_thread_count(Some("no")), default);
+        assert_eq!(resolve_thread_count(Some("lots")), default);
+        assert_eq!(resolve_thread_count(Some("")), default);
     }
 
     proptest! {
