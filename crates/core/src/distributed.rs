@@ -180,11 +180,6 @@ pub struct MemoryPartition {
 }
 
 impl MemoryPartition {
-    /// The single-GPU footprint this partition divides.
-    pub fn single_total_gb(&self) -> f64 {
-        self.sharded_single_gb + self.replicated_single_gb
-    }
-
     /// Whether every rank's share fits its device.
     pub fn fits(&self) -> bool {
         self.per_device.iter().all(DevicePartition::fits)

@@ -5,7 +5,6 @@
 //! exiting nonzero — nothing is deferred to fail (or silently no-op) after
 //! experiments have already started running.
 
-use ftsim_obs::metrics::HistogramSnapshot;
 use ftsim_obs::{DiffConfig, QuantileSketch, SketchConfig, Snapshot};
 use ftsim_serve::ServeConfig;
 use serde_json::Value;
@@ -23,7 +22,7 @@ pub const USAGE: &str = "usage: repro [--list] [--out DIR] <all | id...>
            world sizes, and routing density (top-2 vs dense)
        repro obs-diff <baseline.json> <current.json>
                       [--threshold FRACTION] [--ignore SUBSTR]...
-           compare metric snapshots (counters, gauges, histogram/sketch
+           compare metric snapshots (counters, gauges, sketch
            count+mean+p50+p99); exit 1 on regression
        repro serve [--addr HOST:PORT] [--cache-capacity N] [--shards N]
                    [--slo-target-p99-us US] [--slo-error-budget FRACTION]
@@ -264,13 +263,45 @@ fn find_metrics(doc: &Value) -> Option<&Value> {
     .find(|nested| nested.get("counters").is_some())
 }
 
+/// Why a document could not be read as a [`Snapshot`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum SnapshotError {
+    /// The metrics object carries a block no current build writes. Reading
+    /// past it would turn the baseline's entries into "added" ones, which
+    /// never fail the gate.
+    RetiredBlock(&'static str),
+    /// Invalid JSON, no metrics object, or a malformed entry.
+    Malformed(String),
+}
+
+impl std::fmt::Display for SnapshotError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SnapshotError::RetiredBlock(block) => write!(
+                f,
+                "metrics block {block:?} is no longer read (every distribution is a \
+                 sketch); regenerate this snapshot"
+            ),
+            SnapshotError::Malformed(message) => f.write_str(message),
+        }
+    }
+}
+
+impl From<String> for SnapshotError {
+    fn from(message: String) -> SnapshotError {
+        SnapshotError::Malformed(message)
+    }
+}
+
 /// Parses a [`Snapshot`] back from its JSON export
 /// ([`Snapshot::to_json_string`]) or from a document embedding one.
-pub fn snapshot_from_json(text: &str) -> Result<Snapshot, String> {
+pub fn snapshot_from_json(text: &str) -> Result<Snapshot, SnapshotError> {
     let doc: Value = serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    let metrics = find_metrics(&doc).ok_or_else(|| {
-        "no metrics object found (expected counters/gauges/histograms)".to_string()
-    })?;
+    let metrics = find_metrics(&doc)
+        .ok_or_else(|| "no metrics object found (expected counters/gauges/sketches)".to_string())?;
+    if metrics.get("histograms").is_some() {
+        return Err(SnapshotError::RetiredBlock("histograms"));
+    }
     let mut snapshot = Snapshot::default();
     if let Some(Value::Object(entries)) = metrics.get("counters") {
         for (name, v) in entries {
@@ -282,31 +313,6 @@ pub fn snapshot_from_json(text: &str) -> Result<Snapshot, String> {
         for (name, v) in entries {
             let v = as_f64(v).ok_or_else(|| format!("gauge {name:?} is not a number"))?;
             snapshot.gauges.insert(name.clone(), v);
-        }
-    }
-    if let Some(Value::Object(entries)) = metrics.get("histograms") {
-        for (name, h) in entries {
-            let arr = |key: &str| -> Vec<&Value> {
-                match h.get(key) {
-                    Some(Value::Array(items)) => items.iter().collect(),
-                    _ => Vec::new(),
-                }
-            };
-            let bounds: Option<Vec<f64>> = arr("bounds").into_iter().map(as_f64).collect();
-            let buckets: Option<Vec<u64>> = arr("buckets").into_iter().map(as_u64).collect();
-            let hist = HistogramSnapshot {
-                bounds: bounds.ok_or_else(|| format!("histogram {name:?}: bad bounds"))?,
-                buckets: buckets.ok_or_else(|| format!("histogram {name:?}: bad buckets"))?,
-                count: h
-                    .get("count")
-                    .and_then(as_u64)
-                    .ok_or_else(|| format!("histogram {name:?}: bad count"))?,
-                sum: h
-                    .get("sum")
-                    .and_then(as_f64)
-                    .ok_or_else(|| format!("histogram {name:?}: bad sum"))?,
-            };
-            snapshot.histograms.insert(name.clone(), hist);
         }
     }
     if let Some(Value::Object(entries)) = metrics.get("sketches") {
@@ -510,15 +516,6 @@ mod tests {
         let mut snapshot = Snapshot::default();
         snapshot.counters.insert("steps".to_string(), 42);
         snapshot.gauges.insert("qps".to_string(), 1.5);
-        snapshot.histograms.insert(
-            "lat".to_string(),
-            HistogramSnapshot {
-                bounds: vec![1.0, 2.0],
-                buckets: vec![3, 1, 0],
-                count: 4,
-                sum: 5.25,
-            },
-        );
         let mut sketch = QuantileSketch::new(SketchConfig::default());
         for v in [80.0, 95.0, 120.0, 4000.0] {
             sketch.record(v);
@@ -536,9 +533,27 @@ mod tests {
 
     #[test]
     fn snapshot_parses_from_nested_summary_documents() {
-        let doc = r#"{"summary":{"metrics":{"counters":{"c":1},"gauges":{},"histograms":{}}}}"#;
+        let doc = r#"{"summary":{"metrics":{"counters":{"c":1},"gauges":{},"sketches":{}}}}"#;
         let parsed = snapshot_from_json(doc).unwrap();
         assert_eq!(parsed.counters["c"], 1);
-        assert!(snapshot_from_json(r#"{"other":1}"#).is_err());
+        assert!(matches!(
+            snapshot_from_json(r#"{"other":1}"#),
+            Err(SnapshotError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn a_histograms_block_is_refused_by_name() {
+        // A baseline written before distributions became sketches must
+        // not parse: its histogram entries would turn into "added" ones
+        // and the gate would pass without comparing them.
+        for doc in [
+            r#"{"counters":{},"gauges":{},"histograms":{},"sketches":{}}"#,
+            r#"{"summary":{"metrics":{"counters":{"c":1},"histograms":{"h":{}}}}}"#,
+        ] {
+            let err = snapshot_from_json(doc).unwrap_err();
+            assert_eq!(err, SnapshotError::RetiredBlock("histograms"));
+            assert!(err.to_string().contains("\"histograms\""), "{err}");
+        }
     }
 }

@@ -1340,7 +1340,7 @@ fn profile() -> ExperimentResult {
         .unwrap_or_else(|e| panic!("throughput sweep failed: {e}"));
 
     // ... plus a genuine MoE training run (sim.train spans, loss and
-    // tokens/sec gauges, the expert-token histogram and imbalance gauge).
+    // tokens/sec gauges, the expert-token sketch and imbalance gauge).
     let task = ftsim_workload::SyntheticTask::commonsense(16, 4, 42);
     let outcome = moetrain::train(&task, &MoeTrainConfig::mixtral_like(2), "profile");
 

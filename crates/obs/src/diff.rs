@@ -1,14 +1,14 @@
 //! Metrics regression gate: compare two registry [`Snapshot`]s.
 //!
-//! [`compare`] walks every counter, gauge, histogram, and quantile sketch
-//! in a baseline and a current snapshot and classifies each metric by the
+//! [`compare`] walks every counter, gauge, and quantile sketch in a
+//! baseline and a current snapshot and classifies each metric by the
 //! *symmetric relative difference* `|cur − base| / max(|base|, |cur|)`
-//! against a configurable threshold. Distributions (histograms and
-//! sketches) contribute four derived entries each — `<name>.count`,
-//! `<name>.mean`, `<name>.p50`, `<name>.p99` — so the gate catches tail
-//! regressions, and the substring ignore list composes naturally into
-//! per-percentile exemptions (`--ignore .p99`, `--ignore lat.p50`). The
-//! result renders as a human-readable report and answers
+//! against a configurable threshold. Sketches contribute four derived
+//! entries each — `<name>.count`, `<name>.mean`, `<name>.p50`,
+//! `<name>.p99` — so the gate catches tail regressions, and the
+//! substring ignore list composes naturally into per-percentile
+//! exemptions (`--ignore .p99`, `--ignore lat.p50`). The result renders
+//! as a human-readable report and answers
 //! [`DiffReport::has_regressions`], which is what `repro obs-diff` turns
 //! into its exit code (and CI into a gate against a checked-in baseline).
 //!
@@ -62,10 +62,10 @@ impl Status {
 /// One compared metric.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Entry {
-    /// Metric name; histograms and sketches contribute `<name>.count`,
-    /// `<name>.mean`, `<name>.p50`, and `<name>.p99`.
+    /// Metric name; sketches contribute `<name>.count`, `<name>.mean`,
+    /// `<name>.p50`, and `<name>.p99`.
     pub name: String,
-    /// `"counter"`, `"gauge"`, `"histogram"`, or `"sketch"`.
+    /// `"counter"`, `"gauge"`, or `"sketch"`.
     pub kind: &'static str,
     /// Baseline value (`None` for [`Status::Added`]).
     pub baseline: Option<f64>,
@@ -234,62 +234,10 @@ pub fn compare(baseline: &Snapshot, current: &Snapshot, config: &DiffConfig) -> 
         }
     }
 
-    // Distributions compare by derived statistics — bucket-exact comparison
+    // Sketches compare by derived statistics — bucket-exact comparison
     // would make the gate flaky under any timing or float jitter. Count and
-    // mean are exact; p50/p99 are bucket-bound estimates for histograms and
-    // α-bounded for sketches, and the `.p50`/`.p99` entry names make
-    // per-percentile ignores a plain substring match.
-    for (name, b) in &baseline.histograms {
-        let cur = current.histograms.get(name);
-        push(
-            format!("{name}.count"),
-            "histogram",
-            Some(b.count as f64),
-            cur.map(|h| h.count as f64),
-        );
-        push(
-            format!("{name}.mean"),
-            "histogram",
-            Some(b.mean()),
-            cur.map(|h| h.mean()),
-        );
-        push(
-            format!("{name}.p50"),
-            "histogram",
-            Some(b.quantile(0.50)),
-            cur.map(|h| h.quantile(0.50)),
-        );
-        push(
-            format!("{name}.p99"),
-            "histogram",
-            Some(b.quantile(0.99)),
-            cur.map(|h| h.quantile(0.99)),
-        );
-    }
-    for (name, c) in &current.histograms {
-        if !baseline.histograms.contains_key(name) {
-            push(
-                format!("{name}.count"),
-                "histogram",
-                None,
-                Some(c.count as f64),
-            );
-            push(format!("{name}.mean"), "histogram", None, Some(c.mean()));
-            push(
-                format!("{name}.p50"),
-                "histogram",
-                None,
-                Some(c.quantile(0.50)),
-            );
-            push(
-                format!("{name}.p99"),
-                "histogram",
-                None,
-                Some(c.quantile(0.99)),
-            );
-        }
-    }
-
+    // mean are exact, p50/p99 are α-bounded, and the `.p50`/`.p99` entry
+    // names make per-percentile ignores a plain substring match.
     for (name, b) in &baseline.sketches {
         let cur = current.sketches.get(name);
         push(
@@ -350,13 +298,12 @@ pub fn compare(baseline: &Snapshot, current: &Snapshot, config: &DiffConfig) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::HistogramSnapshot;
+    use crate::sketch::{QuantileSketch, SketchConfig};
 
     fn snap(counters: &[(&str, u64)], gauges: &[(&str, f64)]) -> Snapshot {
         Snapshot {
             counters: counters.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
             gauges: gauges.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-            histograms: Default::default(),
             sketches: Default::default(),
         }
     }
@@ -417,71 +364,50 @@ mod tests {
     }
 
     #[test]
-    fn zero_to_zero_is_ok_and_histograms_compare_count_and_mean() {
-        let hist = |count: u64, sum: f64| HistogramSnapshot {
-            bounds: vec![1.0],
-            buckets: vec![count, 0],
-            count,
-            sum,
+    fn zero_to_zero_is_ok_and_sketches_compare_count_and_mean() {
+        let sketch = |values: &[f64]| {
+            let mut s = QuantileSketch::new(SketchConfig::default());
+            values.iter().for_each(|&v| s.record(v));
+            s
         };
         let mut base = snap(&[("idle", 0)], &[]);
-        base.histograms.insert("lat".to_string(), hist(10, 50.0));
+        base.sketches.insert("lat".to_string(), sketch(&[5.0; 10]));
         let mut cur = snap(&[("idle", 0)], &[]);
-        cur.histograms.insert("lat".to_string(), hist(10, 51.0));
+        cur.sketches.insert(
+            "lat".to_string(),
+            sketch(&[[5.0; 9].as_slice(), &[6.0]].concat()),
+        );
         let report = compare(&base, &cur, &DiffConfig::default());
         assert!(!report.has_regressions());
-        for suffix in [".count", ".mean", ".p50", ".p99"] {
-            assert!(
-                report
-                    .entries
-                    .iter()
-                    .any(|e| e.name == format!("lat{suffix}")),
-                "missing lat{suffix}"
-            );
-        }
-    }
-
-    #[test]
-    fn histogram_tail_shift_is_caught_by_p99() {
-        // Same count, nearly same mean, but the tail moves a bucket: only
-        // the p99 entry regresses.
-        let hist = |tail_bucket: usize| {
-            let mut buckets = vec![98, 0, 0, 0];
-            buckets[tail_bucket] += 2;
-            HistogramSnapshot {
-                bounds: vec![1.0, 10.0, 100.0],
-                buckets,
-                count: 100,
-                sum: 100.0,
-            }
-        };
-        let mut base = snap(&[], &[]);
-        base.histograms.insert("lat".to_string(), hist(1));
-        let mut cur = snap(&[], &[]);
-        cur.histograms.insert("lat".to_string(), hist(2));
-        let cfg = DiffConfig {
-            threshold: 0.25,
-            ignore: Vec::new(),
-        };
-        let report = compare(&base, &cur, &cfg);
         let by_name = |n: &str| report.entries.iter().find(|e| e.name == n).unwrap();
-        assert_eq!(by_name("lat.count").status, Status::Ok);
-        assert_eq!(by_name("lat.mean").status, Status::Ok);
+        assert_eq!(by_name("idle").rel_change, 0.0, "zero to zero is no change");
+        assert_eq!(by_name("lat.count").baseline, Some(10.0));
+        assert_eq!(by_name("lat.mean").baseline, Some(5.0));
+        assert_eq!(by_name("lat.mean").current, Some(5.1), "mean stays exact");
         assert_eq!(by_name("lat.p50").status, Status::Ok);
-        assert_eq!(by_name("lat.p99").status, Status::Regressed);
+        assert_eq!(by_name("lat.p99").status, Status::Ok);
 
-        // Per-percentile ignore is a plain substring match on the entry
-        // name: exempt the tail without loosening anything else.
-        let cfg = DiffConfig {
-            threshold: 0.25,
-            ignore: vec!["lat.p99".to_string()],
-        };
-        assert!(!compare(&base, &cur, &cfg).has_regressions());
+        // A starved (0%) share lands in the floor bucket and compares like
+        // any other sample.
+        let mut starved = snap(&[], &[]);
+        starved
+            .sketches
+            .insert("share".to_string(), sketch(&[0.0, 50.0]));
+        let report = compare(&starved, &starved.clone(), &DiffConfig::default());
+        assert!(!report.has_regressions());
+        assert_eq!(
+            report
+                .entries
+                .iter()
+                .find(|e| e.name == "share.mean")
+                .unwrap()
+                .current,
+            Some(25.0)
+        );
     }
 
     #[test]
     fn sketches_compare_percentiles_and_missing_fails() {
-        use crate::sketch::{QuantileSketch, SketchConfig};
         let sketch = |tail: f64| {
             let mut s = QuantileSketch::new(SketchConfig::default());
             for _ in 0..98 {
@@ -503,6 +429,14 @@ mod tests {
         assert_eq!(by_name("serve.latency_us.p50").status, Status::Ok);
         assert_eq!(by_name("serve.latency_us.p99").status, Status::Regressed);
         assert_eq!(by_name("serve.latency_us.p99").kind, "sketch");
+
+        // Per-percentile ignore is a plain substring match on the entry
+        // name: exempt the tail without loosening anything else.
+        let cfg = DiffConfig {
+            threshold: 0.25,
+            ignore: vec!["latency_us.p99".to_string(), "latency_us.mean".to_string()],
+        };
+        assert!(!compare(&base, &cur, &cfg).has_regressions());
 
         // A sketch present only in the baseline is a regression; one only
         // in the current snapshot is informational.

@@ -2,7 +2,7 @@
 //!
 //! The source paper is a *characterization* study: its headline artifacts are
 //! Nsight-Compute execution-time breakdowns, SM/DRAM utilization curves, and
-//! expert-load histograms. This crate is the reproduction's measurement
+//! per-expert token distributions. This crate is the reproduction's measurement
 //! substrate — the simulated analogue of the paper's profiling toolchain —
 //! and the self-profiling harness for the repo's own hot paths:
 //!
@@ -12,7 +12,9 @@
 //!   `chrome://tracing`) and aggregate into an in-process tree
 //!   ([`tree::SpanTree`]).
 //! * [`metrics`] — a global registry of named counters, gauges, and
-//!   fixed-bucket histograms with a snapshot/diff API and JSON export.
+//!   quantile sketches with a snapshot/diff API and JSON export.
+//! * [`sketch`] — the one distribution type: a log-bucketed quantile
+//!   sketch with a bounded relative error that merges exactly.
 //! * [`diff`] — a thresholded regression gate over two metric snapshots.
 //! * [`mod@timeseries`] / [`slo`] — windowed quantile series and SLO burn rates,
 //!   rendered as a Prometheus-style exposition for live server state.
@@ -39,7 +41,7 @@ pub mod tree;
 
 pub use chrome::ChromeTrace;
 pub use diff::{compare, DiffConfig, DiffReport};
-pub use metrics::{registry, Counter, Gauge, Histogram, Registry, Snapshot};
+pub use metrics::{registry, Counter, Gauge, Registry, Snapshot};
 pub use sketch::{QuantileSketch, Sketch, SketchConfig};
 pub use slo::{SloSpec, SloStatus};
 pub use span::{drain_events, span, span_lazy, Event, SpanGuard};

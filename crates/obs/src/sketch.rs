@@ -290,7 +290,7 @@ struct SketchInner {
     max_bits: AtomicU64,
 }
 
-/// Handle to a shared, lock-free sketch (the registry's latency metric
+/// Handle to a shared, lock-free sketch (the registry's distribution
 /// type). Updates through a handle are atomic ops — recording never blocks
 /// and never allocates.
 #[derive(Debug, Clone)]

@@ -148,9 +148,7 @@ fn snapshot_json_parses_back() {
     let registry = obs::registry();
     registry.counter("it.snap.hits").add(2);
     registry.gauge("it.snap.util").set(0.75);
-    registry
-        .histogram("it.snap.tokens", &[4.0, 16.0])
-        .record(9.0);
+    registry.sketch("it.snap.tokens").record(9.0);
     obs::disable();
     let snapshot = registry.snapshot();
     let doc = serde_json::from_str(&snapshot.to_json_string()).expect("valid JSON");
@@ -162,16 +160,17 @@ fn snapshot_json_parses_back() {
         doc.get("gauges").and_then(|g| g.get("it.snap.util")),
         Some(&Value::Float(0.75))
     );
-    let hist = doc
-        .get("histograms")
-        .and_then(|h| h.get("it.snap.tokens"))
-        .expect("histogram exported");
-    assert_eq!(
-        hist.get("buckets"),
-        Some(&Value::Array(vec![
-            Value::Int(0),
-            Value::Int(1),
-            Value::Int(0)
-        ]))
-    );
+    let sketch = doc
+        .get("sketches")
+        .and_then(|s| s.get("it.snap.tokens"))
+        .expect("sketch exported");
+    assert_eq!(sketch.get("count"), Some(&Value::Int(1)));
+    assert_eq!(sketch.get("sum"), Some(&Value::Float(9.0)));
+    match sketch.get("buckets") {
+        Some(Value::Object(buckets)) => {
+            assert_eq!(buckets.len(), 1, "one sample fills one bucket");
+        }
+        other => panic!("sparse buckets expected, got {other:?}"),
+    }
+    assert!(doc.get("histograms").is_none(), "one distribution type");
 }

@@ -219,8 +219,7 @@ impl Classifier {
         let hidden = self
             .input
             .forward_act(&Var::constant(features.clone()), Activation::Relu)
-            .expect("input projection")
-            .value();
+            .expect("input projection");
         let stats = self.moe.route_only(&hidden).expect("routing");
         TokenDistribution::from_counts(&stats.tokens_per_expert)
     }
@@ -236,22 +235,19 @@ pub fn train(
     train_with_kernels(task, cfg, label, true)
 }
 
-/// Bucket bounds (token share per expert, percent) for the
-/// `sim.train.expert_token_pct` histogram. With 8 experts a balanced router
-/// puts 12.5% on each; the buckets resolve both starved and dominant experts.
-pub const EXPERT_PCT_BOUNDS: [f64; 7] = [2.0, 5.0, 10.0, 15.0, 20.0, 30.0, 50.0];
-
 /// Publishes the routing distribution into the metrics registry: one
-/// histogram sample per expert (token share in percent) plus the imbalance
-/// coefficient (variance of the shares — the Fig. 11 metric) as a gauge.
+/// `sim.train.expert_token_pct` sketch sample per expert (token share in
+/// percent; a starved expert's 0% lands in the sketch's floor bucket) plus
+/// the imbalance coefficient (variance of the shares — the Fig. 11 metric)
+/// as a gauge.
 fn publish_routing(dist: &TokenDistribution) {
     if !ftsim_obs::enabled() {
         return;
     }
     let registry = ftsim_obs::registry();
-    let hist = registry.histogram("sim.train.expert_token_pct", &EXPERT_PCT_BOUNDS);
+    let shares = registry.sketch("sim.train.expert_token_pct");
     for &pct in &dist.pct {
-        hist.record(pct);
+        shares.record(pct);
     }
     registry.gauge_set("sim.train.imbalance", dist.variance());
 }
@@ -267,7 +263,7 @@ fn publish_routing(dist: &TokenDistribution) {
 /// every optimizer step, `sim.train.threads` / `sim.train.simd_active`
 /// gauges recording the execution configuration, a
 /// `sim.train.tokens_per_sec` gauge updated every epoch, and the
-/// expert-token histogram + imbalance gauge of `publish_routing`.
+/// expert-token sketch + imbalance gauge of `publish_routing`.
 pub fn train_with_kernels(
     task: &SyntheticTask,
     cfg: &MoeTrainConfig,
@@ -582,24 +578,20 @@ mod tests {
         // Reference run with observability off.
         let plain = train(&task, &cfg, "obs-test");
         let registry = ftsim_obs::registry();
-        let hist_before = registry
-            .histogram("sim.train.expert_token_pct", &EXPERT_PCT_BOUNDS)
-            .snapshot();
+        let shares_before = registry.sketch("sim.train.expert_token_pct").snapshot();
         ftsim_obs::enable();
         let observed = train(&task, &cfg, "obs-test");
         ftsim_obs::disable();
         // Instrumentation is observation-only: bit-identical outcome.
         assert_eq!(plain, observed);
-        let hist_after = registry
-            .histogram("sim.train.expert_token_pct", &EXPERT_PCT_BOUNDS)
-            .snapshot();
+        let shares_after = registry.sketch("sim.train.expert_token_pct").snapshot();
         // Our run sampled 8 experts twice (before + after training); other
         // tests may add concurrently, so assert a lower bound on the delta.
         assert!(
-            hist_after.count >= hist_before.count + 16,
+            shares_after.count() >= shares_before.count() + 16,
             "{} -> {}",
-            hist_before.count,
-            hist_after.count
+            shares_before.count(),
+            shares_after.count()
         );
         assert!(registry.gauge("sim.train.imbalance").get() >= 0.0);
         assert!(registry.gauge("sim.train.loss").get().is_finite());

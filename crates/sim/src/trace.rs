@@ -247,11 +247,6 @@ impl StepTrace {
         self.records().map(|r| r.desc.flops).sum()
     }
 
-    /// Total DRAM traffic in bytes.
-    pub fn total_bytes(&self) -> f64 {
-        self.records().map(|r| r.desc.bytes).sum()
-    }
-
     /// Seconds spent in `stage`.
     pub fn stage_seconds(&self, stage: Stage) -> f64 {
         self.records()

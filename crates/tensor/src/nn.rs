@@ -93,11 +93,6 @@ impl Linear {
         vec![self.weight.clone(), self.bias.clone()]
     }
 
-    /// The weight matrix variable.
-    pub fn weight(&self) -> &Var {
-        &self.weight
-    }
-
     /// Number of scalar parameters.
     pub fn param_count(&self) -> usize {
         self.weight.with_value(Tensor::numel) + self.bias.with_value(Tensor::numel)
@@ -264,18 +259,6 @@ impl RoutingStats {
         let counts: Vec<f64> = self.tokens_per_expert.iter().map(|&c| c as f64).collect();
         ops::variance(&counts)
     }
-
-    /// Counts normalized to percentages of all assignments.
-    pub fn distribution_pct(&self) -> Vec<f64> {
-        let total: usize = self.tokens_per_expert.iter().sum();
-        if total == 0 {
-            return vec![0.0; self.tokens_per_expert.len()];
-        }
-        self.tokens_per_expert
-            .iter()
-            .map(|&c| 100.0 * c as f64 / total as f64)
-            .collect()
-    }
 }
 
 /// A mixture-of-experts layer with top-k softmax gating, implementing the
@@ -379,22 +362,6 @@ impl MoeLayer {
         self.top_k
     }
 
-    /// Sets the number of experts activated per token (sparse ↔ dense).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `top_k` is out of range.
-    pub fn set_top_k(&mut self, top_k: usize) -> Result<(), TensorError> {
-        if top_k == 0 || top_k > self.experts.len() {
-            return Err(TensorError::InvalidArgument(format!(
-                "top_k {top_k} out of range 1..={}",
-                self.experts.len()
-            )));
-        }
-        self.top_k = top_k;
-        Ok(())
-    }
-
     /// Routes `x` (`[tokens, hidden]`) through the gated experts, returning
     /// the combined output and the routing statistics of this pass.
     ///
@@ -432,19 +399,7 @@ impl MoeLayer {
         } else {
             self.gate.forward_naive(x, Activation::Identity)?
         };
-        // Top-k selection (non-differentiable index choice, like torch.topk).
-        let (masks, routed) = logits.with_value(|l| {
-            let (tokens, e) = l.shape().as_matrix().expect("gate output is a matrix");
-            let mut masks = vec![vec![false; e]; tokens];
-            let mut routed = vec![Vec::new(); e];
-            for (t, mask) in masks.iter_mut().enumerate() {
-                for (idx, _) in ops::topk(l.row(t), self.top_k) {
-                    mask[idx] = true;
-                    routed[idx].push(t);
-                }
-            }
-            (masks, routed)
-        });
+        let (masks, routed) = logits.with_value(|l| self.select(l));
         let stats = RoutingStats {
             tokens_per_expert: routed.iter().map(Vec::len).collect(),
         };
@@ -472,28 +427,35 @@ impl MoeLayer {
         p
     }
 
-    /// Parameters of the gate (router) only — useful for router-only studies.
-    pub fn gate_parameters(&self) -> Vec<Var> {
-        self.gate.parameters()
-    }
-
-    /// Routing statistics for `x` without building a gradient graph.
+    /// Routing statistics for `x` (`[tokens, hidden]`) without running
+    /// the experts: the same gate kernel and top-k selection as
+    /// [`MoeLayer::forward`], so the counts are the ones a forward pass
+    /// reports.
     ///
     /// # Errors
     ///
     /// Propagates shape errors from the gate.
-    pub fn route_only(&self, x: &Tensor) -> Result<RoutingStats, TensorError> {
-        let logits = self.gate.weight().with_value(|w| x.matmul(w))?;
-        let (tokens, e) = logits.shape().as_matrix().expect("matrix");
-        let mut stats = RoutingStats {
-            tokens_per_expert: vec![0; e],
-        };
-        for t in 0..tokens {
+    pub fn route_only(&self, x: &Var) -> Result<RoutingStats, TensorError> {
+        let (_, routed) = self.gate.forward(x)?.with_value(|l| self.select(l));
+        Ok(RoutingStats {
+            tokens_per_expert: routed.iter().map(Vec::len).collect(),
+        })
+    }
+
+    /// Top-k selection over gate logits `[tokens, experts]` (a
+    /// non-differentiable index choice, like `torch.topk`): each token's
+    /// expert mask, and each expert's routed token rows in ascending order.
+    fn select(&self, logits: &Tensor) -> (Vec<Vec<bool>>, Vec<Vec<usize>>) {
+        let (tokens, e) = logits.shape().as_matrix().expect("gate output is a matrix");
+        let mut masks = vec![vec![false; e]; tokens];
+        let mut routed = vec![Vec::new(); e];
+        for (t, mask) in masks.iter_mut().enumerate() {
             for (idx, _) in ops::topk(logits.row(t), self.top_k) {
-                stats.tokens_per_expert[idx] += 1;
+                mask[idx] = true;
+                routed[idx].push(t);
             }
         }
-        Ok(stats)
+        (masks, routed)
     }
 }
 
@@ -776,10 +738,23 @@ mod tests {
     fn route_only_matches_forward_routing() {
         let mut rng = StdRng::seed_from_u64(7);
         let moe = MoeLayer::new(ExpertKind::GeluFfn, 4, 8, 4, 2, &mut rng).unwrap();
-        let x = Tensor::rand_uniform([12, 4], 1.0, &mut rng);
-        let quick = moe.route_only(&x).unwrap();
-        let (_, full) = moe.forward(&Var::constant(x)).unwrap();
-        assert_eq!(quick.tokens_per_expert, full.tokens_per_expert);
+        let x = Var::constant(Tensor::rand_uniform([12, 4], 1.0, &mut rng));
+        // A fresh gate has a zero bias; a trained one does not, and the
+        // router must route on it exactly as the forward pass does.
+        let mut params: Vec<Tensor> = moe.parameters().iter().map(Var::value).collect();
+        params[1] = Tensor::new([1, 4], vec![1.5, 0.0, -1.5, 0.5]).unwrap();
+        let biased =
+            MoeLayer::from_parameters(ExpertKind::GeluFfn, 4, 2, &mut params.into_iter()).unwrap();
+        for layer in [&moe, &biased] {
+            let quick = layer.route_only(&x).unwrap();
+            let (_, full) = layer.forward(&x).unwrap();
+            assert_eq!(quick.tokens_per_expert, full.tokens_per_expert);
+        }
+        assert_ne!(
+            moe.route_only(&x).unwrap().tokens_per_expert,
+            biased.route_only(&x).unwrap().tokens_per_expert,
+            "the bias must move the routing for this test to mean anything"
+        );
     }
 
     #[test]

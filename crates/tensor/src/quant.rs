@@ -145,11 +145,6 @@ impl Quantized4Bit {
         self.len == 0
     }
 
-    /// Block size used for scaling.
-    pub fn block_size(&self) -> usize {
-        self.block
-    }
-
     /// Storage footprint in bytes (packed codes + scales).
     ///
     /// For large buffers this approaches `0.5 + 4/block` bytes per element —

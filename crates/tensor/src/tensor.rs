@@ -190,11 +190,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its backing data.
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at `(row, col)` of a matrix.
     ///
     /// # Panics
@@ -271,11 +266,6 @@ impl Tensor {
             shape: self.shape.clone(),
             data,
         }
-    }
-
-    /// Applies `f` elementwise in place.
-    pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
-        self.data.iter_mut().for_each(|x| *x = f(*x));
     }
 
     /// Elementwise binary operation with shape checking.

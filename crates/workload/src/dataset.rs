@@ -112,11 +112,6 @@ pub mod presets {
     pub fn table_ii() -> Vec<DatasetSpec> {
         vec![commonsense_15k(), math_14k(), hellaswag(), gsm8k()]
     }
-
-    /// The two fine-tuning datasets (CS, MATH).
-    pub fn finetune_sets() -> Vec<DatasetSpec> {
-        vec![commonsense_15k(), math_14k()]
-    }
 }
 
 #[cfg(test)]
