@@ -163,30 +163,9 @@ mod tests {
         // Throughput models shaped like the paper's Table IV column: A40
         // ~1 qps, A100-80 ~2.7, H100 ~4.9 at their max batches.
         let combos = vec![
-            (
-                GpuSpec::a40(),
-                ThroughputModel {
-                    c2: 0.35,
-                    c3: 1.0,
-                    c4: 0.05,
-                },
-            ),
-            (
-                GpuSpec::a100_80(),
-                ThroughputModel {
-                    c2: 0.70,
-                    c3: 1.0,
-                    c4: 0.30,
-                },
-            ),
-            (
-                GpuSpec::h100_80(),
-                ThroughputModel {
-                    c2: 1.30,
-                    c3: 1.0,
-                    c4: 0.50,
-                },
-            ),
+            (GpuSpec::a40(), ThroughputModel { c2: 0.35, c4: 0.05 }),
+            (GpuSpec::a100_80(), ThroughputModel { c2: 0.70, c4: 0.30 }),
+            (GpuSpec::h100_80(), ThroughputModel { c2: 1.30, c4: 0.50 }),
         ];
         let mem = MemoryModel::new(&presets::mixtral_8x7b(), &FineTuneConfig::qlora_sparse());
         CostTable::build(
@@ -254,14 +233,7 @@ mod tests {
 
     #[test]
     fn unpriced_gpus_are_skipped() {
-        let combos = vec![(
-            GpuSpec::a40(),
-            ThroughputModel {
-                c2: 0.5,
-                c3: 1.0,
-                c4: 0.2,
-            },
-        )];
+        let combos = vec![(GpuSpec::a40(), ThroughputModel { c2: 0.5, c4: 0.2 })];
         let mem = MemoryModel::new(&presets::mixtral_8x7b(), &FineTuneConfig::qlora_sparse());
         let t = CostTable::build(
             &combos,

@@ -1,139 +1,4 @@
-//! Numerical fitting: Nelder–Mead simplex minimization (standing in for the
-//! paper's scipy `curve_fit`) and error metrics.
-
-/// Options for [`nelder_mead`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NelderMeadOptions {
-    /// Maximum iterations.
-    pub max_iters: usize,
-    /// Convergence tolerance on the simplex's objective spread.
-    pub tolerance: f64,
-    /// Initial simplex step per dimension, relative to the start point
-    /// (absolute floor of 0.1).
-    pub initial_step: f64,
-}
-
-impl Default for NelderMeadOptions {
-    fn default() -> Self {
-        NelderMeadOptions {
-            max_iters: 2000,
-            tolerance: 1e-10,
-            initial_step: 0.25,
-        }
-    }
-}
-
-/// Minimizes `f` starting from `x0` with the Nelder–Mead simplex method.
-/// Returns the best point found.
-///
-/// # Panics
-///
-/// Panics if `x0` is empty.
-pub fn nelder_mead(f: impl Fn(&[f64]) -> f64, x0: &[f64], opts: NelderMeadOptions) -> Vec<f64> {
-    assert!(!x0.is_empty(), "need at least one dimension");
-    let n = x0.len();
-    let (alpha, gamma, rho, sigma) = (1.0, 2.0, 0.5, 0.5);
-
-    // Initial simplex: x0 plus a perturbation along each axis.
-    let mut simplex: Vec<(Vec<f64>, f64)> = Vec::with_capacity(n + 1);
-    simplex.push((x0.to_vec(), f(x0)));
-    for i in 0..n {
-        let mut p = x0.to_vec();
-        let step = (p[i].abs() * opts.initial_step).max(0.1);
-        p[i] += step;
-        let fp = f(&p);
-        simplex.push((p, fp));
-    }
-
-    for _ in 0..opts.max_iters {
-        simplex.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        // Converged only when both the objective spread AND the simplex
-        // extent are tiny (f-spread alone stalls on points symmetric about
-        // the minimum).
-        let spread = simplex[n].1 - simplex[0].1;
-        let extent: f64 = simplex[1..]
-            .iter()
-            .map(|(p, _)| {
-                p.iter()
-                    .zip(&simplex[0].0)
-                    .map(|(a, b)| (a - b).abs())
-                    .fold(0.0, f64::max)
-            })
-            .fold(0.0, f64::max);
-        if spread.abs() < opts.tolerance && extent < 1e-8 {
-            break;
-        }
-        // Centroid of all but the worst.
-        let mut centroid = vec![0.0; n];
-        for (p, _) in &simplex[..n] {
-            for (c, &pi) in centroid.iter_mut().zip(p) {
-                *c += pi / n as f64;
-            }
-        }
-        let worst = simplex[n].clone();
-        let at = |coef: f64| -> Vec<f64> {
-            centroid
-                .iter()
-                .zip(&worst.0)
-                .map(|(&c, &w)| c + coef * (c - w))
-                .collect()
-        };
-
-        let reflected = at(alpha);
-        let fr = f(&reflected);
-        if fr < simplex[0].1 {
-            // Try expanding.
-            let expanded = at(gamma);
-            let fe = f(&expanded);
-            simplex[n] = if fe < fr {
-                (expanded, fe)
-            } else {
-                (reflected, fr)
-            };
-        } else if fr < simplex[n - 1].1 {
-            simplex[n] = (reflected, fr);
-        } else {
-            // Contract.
-            let contracted = at(-rho);
-            let fc = f(&contracted);
-            if fc < simplex[n].1 {
-                simplex[n] = (contracted, fc);
-            } else {
-                // Shrink toward the best point.
-                let best = simplex[0].0.clone();
-                for entry in simplex.iter_mut().skip(1) {
-                    for (pi, &bi) in entry.0.iter_mut().zip(&best) {
-                        *pi = bi + sigma * (*pi - bi);
-                    }
-                    entry.1 = f(&entry.0);
-                }
-            }
-        }
-    }
-    simplex
-        .into_iter()
-        .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-        .expect("simplex non-empty")
-        .0
-}
-
-/// Runs [`nelder_mead`] from several starts and keeps the best result.
-///
-/// # Panics
-///
-/// Panics if `starts` is empty.
-pub fn multi_start(
-    f: impl Fn(&[f64]) -> f64,
-    starts: &[Vec<f64>],
-    opts: NelderMeadOptions,
-) -> Vec<f64> {
-    assert!(!starts.is_empty(), "need at least one start point");
-    starts
-        .iter()
-        .map(|s| nelder_mead(&f, s, opts))
-        .min_by(|a, b| f(a).partial_cmp(&f(b)).unwrap_or(std::cmp::Ordering::Equal))
-        .expect("at least one start")
-}
+//! Error metrics for the fitted models.
 
 /// Root-mean-square error between predictions and ground truth.
 ///
@@ -147,97 +12,14 @@ pub fn rmse(pred: &[f64], truth: &[f64]) -> f64 {
     (sum / pred.len() as f64).sqrt()
 }
 
-/// Mean absolute error.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty.
-pub fn mae(pred: &[f64], truth: &[f64]) -> f64 {
-    assert_eq!(pred.len(), truth.len(), "length mismatch");
-    assert!(!pred.is_empty(), "mae of empty slices");
-    pred.iter()
-        .zip(truth)
-        .map(|(&p, &t)| (p - t).abs())
-        .sum::<f64>()
-        / pred.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn minimizes_quadratic_bowl() {
-        let best = nelder_mead(
-            |x| (x[0] - 3.0).powi(2) + (x[1] + 1.5).powi(2),
-            &[0.0, 0.0],
-            NelderMeadOptions::default(),
-        );
-        assert!((best[0] - 3.0).abs() < 1e-3, "{best:?}");
-        assert!((best[1] + 1.5).abs() < 1e-3, "{best:?}");
-    }
-
-    #[test]
-    fn minimizes_rosenbrock() {
-        // The classic banana function; minimum at (1, 1).
-        let best = nelder_mead(
-            |x| (1.0 - x[0]).powi(2) + 100.0 * (x[1] - x[0] * x[0]).powi(2),
-            &[-1.2, 1.0],
-            NelderMeadOptions {
-                max_iters: 10_000,
-                ..Default::default()
-            },
-        );
-        assert!((best[0] - 1.0).abs() < 1e-2, "{best:?}");
-        assert!((best[1] - 1.0).abs() < 1e-2, "{best:?}");
-    }
-
-    #[test]
-    fn one_dimensional_works() {
-        let best = nelder_mead(
-            |x| (x[0] - 7.0).powi(2),
-            &[0.0],
-            NelderMeadOptions::default(),
-        );
-        assert!((best[0] - 7.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn multi_start_escapes_bad_basins() {
-        // f has a local minimum near 0 and a global one near 5.
-        let f = |x: &[f64]| {
-            let v = x[0];
-            0.5 * (v + 0.5).powi(2).min(2.0) + (v - 5.0).powi(2) * 0.1
-        };
-        let best = multi_start(
-            f,
-            &[vec![-2.0], vec![0.0], vec![6.0]],
-            NelderMeadOptions::default(),
-        );
-        assert!(best[0] > 3.0, "stuck at {best:?}");
-    }
-
-    #[test]
-    fn recovers_curve_coefficients_via_least_squares() {
-        // Generate y = 2.5 ln(x) + 0.7 and recover the coefficients.
-        let xs: Vec<f64> = (1..=20).map(|i| i as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|&x| 2.5 * x.ln() + 0.7).collect();
-        let objective = |p: &[f64]| -> f64 {
-            xs.iter()
-                .zip(&ys)
-                .map(|(&x, &y)| (p[0] * x.ln() + p[1] - y).powi(2))
-                .sum()
-        };
-        let best = nelder_mead(objective, &[1.0, 0.0], NelderMeadOptions::default());
-        assert!((best[0] - 2.5).abs() < 1e-3, "{best:?}");
-        assert!((best[1] - 0.7).abs() < 1e-3, "{best:?}");
-    }
-
-    #[test]
-    fn rmse_and_mae_basics() {
+    fn rmse_basics() {
         assert_eq!(rmse(&[1.0, 2.0], &[1.0, 2.0]), 0.0);
         assert!((rmse(&[0.0, 0.0], &[3.0, 4.0]) - (12.5f64).sqrt()).abs() < 1e-12);
-        assert!((mae(&[0.0, 0.0], &[3.0, 4.0]) - 3.5).abs() < 1e-12);
     }
 
     #[test]

@@ -755,17 +755,17 @@ fn fig14() -> ExperimentResult {
     ];
     for (label, model, seq) in cases {
         let v = validate_combo(format!("{label} @ A40"), &model, &a40(), seq, 2);
+        let clamped = v.model.clamped(&v.samples);
         let _ = writeln!(
             text,
-            "{label:<16} C2={:>6.2} C3={:>6.3} C4={:>6.2}  RMSE {:.3} (relative {:.3})",
+            "{label:<16} C2={:>6.2} C4={:>7.2}  RMSE {:.3} (relative {:.3}), {clamped} clamped",
             v.model.c2,
-            v.model.c3,
             v.model.c4,
             v.rmse,
             v.relative_rmse()
         );
         rows.push(json!({
-            "label": label, "c2": v.model.c2, "c3": v.model.c3, "c4": v.model.c4,
+            "label": label, "c2": v.model.c2, "c4": v.model.c4, "clamped": clamped,
             "rmse": v.rmse, "relative_rmse": v.relative_rmse(),
             "samples": v.samples.iter().map(|s| json!([s.batch, s.sparsity, s.qps])).collect::<Vec<_>>(),
         }));
@@ -791,17 +791,17 @@ fn fig15() -> ExperimentResult {
             148,
             2,
         );
+        let clamped = v.model.clamped(&v.samples);
         let _ = writeln!(
             text,
-            "{name:<12} C2={:>6.2} C3={:>6.3} C4={:>6.2}  RMSE {:.3} (relative {:.3})",
+            "{name:<12} C2={:>6.2} C4={:>7.2}  RMSE {:.3} (relative {:.3}), {clamped} clamped",
             v.model.c2,
-            v.model.c3,
             v.model.c4,
             v.rmse,
             v.relative_rmse()
         );
         rows.push(json!({
-            "gpu": name, "c2": v.model.c2, "c3": v.model.c3, "c4": v.model.c4,
+            "gpu": name, "c2": v.model.c2, "c4": v.model.c4, "clamped": clamped,
             "rmse": v.rmse, "relative_rmse": v.relative_rmse(),
         }));
     }

@@ -1,9 +1,9 @@
 //! # ftsim-workload
 //!
 //! Fine-tuning workloads: the four datasets of the paper's Table II with
-//! their sequence-length distributions (Fig. 2), batch assembly, and the
-//! synthetic learnable tasks that drive the real (CPU-scale) MoE training
-//! experiments standing in for the paper's accuracy study (Fig. 3).
+//! their sequence-length distributions (Fig. 2), and the synthetic learnable
+//! tasks that drive the real (CPU-scale) MoE training experiments standing
+//! in for the paper's accuracy study (Fig. 3).
 //!
 //! ```
 //! use ftsim_workload::{presets, SeqLenDistribution};
@@ -18,12 +18,10 @@
 //! assert!(lens.iter().all(|&l| l >= 1));
 //! ```
 
-pub mod batching;
 pub mod dataset;
 pub mod distribution;
 pub mod task;
 
-pub use batching::{Batch, BatchPlanner};
 pub use dataset::{presets, DatasetSpec, TaskDomain};
 pub use distribution::SeqLenDistribution;
 pub use task::{SyntheticTask, TaskSample};

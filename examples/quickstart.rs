@@ -48,8 +48,8 @@ fn main() {
         2,
     );
     println!(
-        "Eq.2 fit: C2={:.2} C3={:.3} C4={:.2} (RMSE {:.3})",
-        v.model.c2, v.model.c3, v.model.c4, v.rmse
+        "Eq.2 fit: C2={:.2} C4={:.2} (RMSE {:.3})",
+        v.model.c2, v.model.c4, v.rmse
     );
 
     // 4. Price a 10-epoch fine-tuning job (paper Table IV).

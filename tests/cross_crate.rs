@@ -4,9 +4,6 @@ use ftsim::gpu::{CostModel, GpuSpec};
 use ftsim::model::{presets, FineTuneConfig};
 use ftsim::sim::StepSimulator;
 use ftsim::tensor::{Quantized4Bit, Tensor, Var};
-use ftsim::workload::{presets as data, BatchPlanner, SeqLenDistribution};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Simulated traces are deterministic: same inputs, identical output.
 #[test]
@@ -53,24 +50,6 @@ fn params_and_flops_agree_across_crates() {
             model.name
         );
     }
-}
-
-/// The workload batching path feeds the memory model sensibly: expected
-/// padded length grows with batch size, shrinking usable batch in turn.
-#[test]
-fn batching_and_memory_model_compose() {
-    let ds = data::commonsense_15k();
-    let dist = SeqLenDistribution::for_dataset(&ds);
-    let mut rng = StdRng::seed_from_u64(3);
-    let small = BatchPlanner::new(2, dist).expected_padded_len(300, &mut rng);
-    let large = BatchPlanner::new(16, dist).expected_padded_len(300, &mut rng);
-    assert!(large > small);
-
-    let mem =
-        ftsim::model::MemoryModel::new(&presets::mixtral_8x7b(), &FineTuneConfig::qlora_sparse());
-    let bs_small = mem.max_batch_size(&GpuSpec::a40(), small.round() as usize);
-    let bs_large = mem.max_batch_size(&GpuSpec::a40(), large.round() as usize);
-    assert!(bs_small >= bs_large);
 }
 
 /// The tensor crate's quantizer agrees with the model crate's byte

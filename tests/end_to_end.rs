@@ -1,10 +1,28 @@
 //! End-to-end pipeline: simulator → sweeps → analytical fits → cloud cost,
 //! mirroring the paper's full §IV + §V flow across crates.
 
-use ftsim::cost::{validate_combo, CostTable, FineTuneJob, ThroughputModel};
+use ftsim::cost::{validate_combo, CostTable, FineTuneJob, ThroughputModel, ThroughputValidation};
 use ftsim::gpu::{CloudProvider, CostModel, GpuSpec, PriceTable};
 use ftsim::model::{presets, FineTuneConfig, MemoryModel};
 use ftsim::workload::presets as data;
+
+/// Table IV's Eq. 2 fits: Mixtral QLoRA-sparse on GS, one per GPU.
+fn table_iv_fits() -> Vec<(GpuSpec, ThroughputValidation)> {
+    let seq = data::gsm8k().median_seq_len;
+    [GpuSpec::a40(), GpuSpec::a100_80(), GpuSpec::h100_80()]
+        .into_iter()
+        .map(|gpu| {
+            let v = validate_combo(
+                format!("Mixtral/GS @ {}", gpu.name),
+                &presets::mixtral_8x7b(),
+                &CostModel::new(gpu.clone()),
+                seq,
+                2,
+            );
+            (gpu, v)
+        })
+        .collect()
+}
 
 /// The full Table IV protocol, from scratch.
 #[test]
@@ -14,17 +32,9 @@ fn simulate_fit_and_price_mixtral_gs() {
     let mem = MemoryModel::new(&model, &ft);
     let seq = data::gsm8k().median_seq_len;
 
-    let gpus = [GpuSpec::a40(), GpuSpec::a100_80(), GpuSpec::h100_80()];
-    let fitted: Vec<(GpuSpec, ThroughputModel)> = gpus
-        .iter()
-        .map(|gpu| {
-            let v = validate_combo(
-                format!("Mixtral/GS @ {}", gpu.name),
-                &model,
-                &CostModel::new(gpu.clone()),
-                seq,
-                2,
-            );
+    let fitted: Vec<(GpuSpec, ThroughputModel)> = table_iv_fits()
+        .into_iter()
+        .map(|(gpu, v)| {
             // Every fit must be usable (paper's validation gate).
             assert!(
                 v.rmse < 0.6 || v.relative_rmse() < 0.25,
@@ -33,7 +43,7 @@ fn simulate_fit_and_price_mixtral_gs() {
                 v.rmse,
                 v.relative_rmse()
             );
-            (gpu.clone(), v.model)
+            (gpu, v.model)
         })
         .collect();
 
@@ -69,6 +79,34 @@ fn simulate_fit_and_price_mixtral_gs() {
         "OpenOrca: ${:.0}",
         best.usd
     );
+}
+
+/// Table IV prices Eq. 2 at each GPU's max batch, while the planner prices
+/// the simulator there. The two paths disagree by a per-GPU gap, pinned
+/// here at its measured value: Eq. 2 reads 4.0%, 9.9% and 4.6% low, and
+/// only on A100-80 does the gap (0.58 q/s) exceed the fit's RMSE (0.521).
+#[test]
+fn table_iv_eq2_vs_simulator_gap() {
+    let mem = MemoryModel::new(&presets::mixtral_8x7b(), &FineTuneConfig::qlora_sparse());
+    let seq = data::gsm8k().median_seq_len;
+    let expected = [
+        ("A40", -0.0398, false),
+        ("A100-80GB", -0.0987, true),
+        ("H100-80GB", -0.0458, false),
+    ];
+    for ((gpu, v), (name, gap, exceeds_rmse)) in table_iv_fits().into_iter().zip(expected) {
+        assert_eq!(gpu.name, name);
+        let batch = mem.max_batch_size(&gpu, seq);
+        let simulated = v.sparse.qps_at(batch).expect("sweep covers max batch");
+        let eq2 = v.model.predict(batch as f64, 0.25);
+        let measured = eq2 / simulated - 1.0;
+        assert!(
+            (measured - gap).abs() < 5e-4,
+            "{name} @ batch {batch}: Eq. 2 {eq2:.4} vs simulator {simulated:.4} q/s, \
+             gap {measured:.4}, pinned {gap}"
+        );
+        assert_eq!((simulated - eq2).abs() > v.rmse, exceeds_rmse, "{name}");
+    }
 }
 
 /// The Fig. 14 protocol for every (model, dataset) combo the paper keeps.
