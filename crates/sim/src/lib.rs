@@ -47,3 +47,12 @@ pub use sensitivity::{SensitivityPoint, SensitivityStudy};
 pub use step::{CacheStats, StepSimulator};
 pub use throughput::{ThroughputPoint, ThroughputSweep};
 pub use trace::{KernelRecord, Section, Stage, StepTrace, TraceSegment};
+
+/// Serializes this crate's unit tests that toggle the process-global obs
+/// switch, so one test's `disable()` cannot cut another's spans short.
+#[cfg(test)]
+pub(crate) fn obs_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

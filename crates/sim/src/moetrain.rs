@@ -9,8 +9,8 @@
 //! laptop CPU handles in milliseconds.
 
 use crate::routing::TokenDistribution;
-use ftsim_tensor::nn::{AdamW, ExpertKind, Linear, MoeLayer};
-use ftsim_tensor::{ops, Activation, Tensor, Var};
+use ftsim_tensor::nn::{AdamW, ExpertKind, Linear, MoeLayer, RoutingStats};
+use ftsim_tensor::{autograd, ops, Activation, Tensor, Var};
 use ftsim_workload::task::{SyntheticTask, TaskSample};
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, SeedableRng};
@@ -181,47 +181,44 @@ impl Classifier {
         p
     }
 
-    fn forward(&self, x: &Var) -> Var {
-        self.forward_with(x, true)
-    }
-
     /// Forward pass with an explicit kernel choice: `fused = true` runs
     /// every linear layer through `Var::linear_act` — the fused
     /// matmul+bias+activation forward on the register-tiled microkernel,
     /// with the streaming backward epilogue that never materializes the
     /// pre-activation gradient (the production path) — while
     /// `fused = false` composes the naive ops. The two are bit-identical
-    /// in values and gradients.
-    fn forward_with(&self, x: &Var, fused: bool) -> Var {
+    /// in values and gradients. Returns the logits and the MoE layer's
+    /// routing of this pass.
+    fn forward_with(&self, x: &Var, fused: bool) -> (Var, RoutingStats) {
         let hidden = if fused {
             self.input.forward_act(x, Activation::Relu)
         } else {
             self.input.forward_naive(x, Activation::Relu)
         }
         .expect("input projection");
-        let (mixed, _) = self.moe.forward_with(&hidden, fused).expect("moe forward");
+        let (mixed, routing) = self.moe.forward_with(&hidden, fused).expect("moe forward");
         // Residual connection around the MoE block.
         let res = mixed.add(&hidden).expect("same shape");
-        if fused {
+        let logits = if fused {
             self.head.forward_act(&res, Activation::Identity)
         } else {
             self.head.forward_naive(&res, Activation::Identity)
         }
-        .expect("head projection")
+        .expect("head projection");
+        (logits, routing)
     }
 
-    fn logits(&self, features: &Tensor) -> Tensor {
-        self.forward(&Var::constant(features.clone())).value()
-    }
-
-    /// Routing distribution of the (post-input-projection) eval tokens.
-    fn routing(&self, features: &Tensor) -> TokenDistribution {
-        let hidden = self
-            .input
-            .forward_act(&Var::constant(features.clone()), Activation::Relu)
-            .expect("input projection");
-        let stats = self.moe.route_only(&hidden).expect("routing");
-        TokenDistribution::from_counts(&stats.tokens_per_expert)
+    /// One forward pass over the eval set with no graph recorded: the
+    /// held-out accuracy and the routing distribution of the eval tokens,
+    /// both read off the same pass.
+    fn evaluate(&self, eval: &TaskSample) -> (f64, TokenDistribution) {
+        autograd::no_grad(|| {
+            let (logits, routing) = self.forward_with(&Var::constant(eval.features.clone()), true);
+            (
+                logits.with_value(|l| ops::accuracy(l, &eval.labels)),
+                TokenDistribution::from_counts(&routing.tokens_per_expert),
+            )
+        })
     }
 }
 
@@ -300,9 +297,9 @@ pub fn train_with_options(
     let train_set = task.sample(cfg.train_examples, &mut rng);
     let eval_set = task.eval_split(cfg.eval_examples);
 
-    let initial_accuracy = eval_accuracy(&model, &eval_set);
-    let routing_before = model.routing(&eval_set.features);
+    let (initial_accuracy, routing_before) = model.evaluate(&eval_set);
     publish_routing(&routing_before);
+    let mut routing_after = routing_before.clone();
 
     let mut curve = Vec::with_capacity(cfg.epochs);
     let mut order: Vec<usize> = (0..train_set.len()).collect();
@@ -313,7 +310,9 @@ pub fn train_with_options(
         let mut losses = Vec::new();
         for chunk in order.chunks(cfg.batch) {
             let _step_span = ftsim_obs::span("sim.train", "step");
-            let loss_value = train_step(cfg, &params, &mut opt, &train_set, chunk, fused, threads);
+            let loss_value = train_step(
+                cfg, &model, &params, &mut opt, &train_set, chunk, fused, threads,
+            );
             losses.push(loss_value);
             ftsim_obs::registry().gauge_set("sim.train.loss", loss_value);
             ftsim_obs::registry().counter_add("sim.train.steps", 1);
@@ -326,14 +325,16 @@ pub fn train_with_options(
                     .gauge_set("sim.train.tokens_per_sec", train_set.len() as f64 / secs);
             }
         }
+        // The last epoch's pass runs on the final parameters, so its
+        // routing is the fine-tuned distribution.
+        let (eval_accuracy, routing) = model.evaluate(&eval_set);
+        routing_after = routing;
         curve.push(EpochMetric {
             epoch,
             train_loss: losses.iter().sum::<f64>() / losses.len().max(1) as f64,
-            eval_accuracy: eval_accuracy(&model, &eval_set),
+            eval_accuracy,
         });
     }
-
-    let routing_after = model.routing(&eval_set.features);
     publish_routing(&routing_after);
     MoeTrainOutcome {
         label: label.into(),
@@ -356,15 +357,22 @@ pub fn train_with_options(
 ///    mean the full-batch step computes, and a single-microbatch grid
 ///    (`microbatch == 0`) reproduces the historical full-batch step
 ///    bitwise (`scale(1.0)` is exact).
-/// 3. Workers compute gradients on thread-local model replicas rebuilt
-///    from a parameter snapshot; [`crate::engine::parallel_map_with`]
-///    returns results in input order regardless of scheduling.
+/// 3. One worker (`threads.min(microbatches) <= 1`) runs every microbatch
+///    on `model` itself, taking each parameter's gradient off after the
+///    microbatch's backward; more workers each rebuild a thread-local
+///    replica from a parameter snapshot (`Var` is `Rc`-based, `Tensor` is
+///    `Send`), and [`crate::engine::parallel_map_with`] returns results in
+///    input order regardless of scheduling. Both run the same microbatch
+///    function on the same parameter values, so the per-microbatch
+///    gradients are the same bits.
 /// 4. Per-parameter gradients and the loss are combined by a fixed-order
 ///    pairwise tree over the microbatch index — adjacent pairs (0,1),
 ///    (2,3), … reduced repeatedly — so the floating-point addition
 ///    sequence is a function of the grid alone, never the thread count.
+#[allow(clippy::too_many_arguments)]
 fn train_step(
     cfg: &MoeTrainConfig,
+    model: &Classifier,
     params: &[Var],
     opt: &mut AdamW,
     train_set: &TaskSample,
@@ -379,14 +387,12 @@ fn train_step(
     };
     let micro: Vec<(usize, &[usize])> = chunk.chunks(mb_len).enumerate().collect();
     let chunk_len = chunk.len() as f32;
-    // Snapshot the parameter tensors once: `Tensor` is `Send`, `Var` is not.
-    let snapshot: Vec<Tensor> = params.iter().map(Var::value).collect();
-    let results = crate::engine::parallel_map_with(threads.min(micro.len()), &micro, |(w, idx)| {
+    // One microbatch's loss and gradients on `model`, whose parameters
+    // `model_params` must hold no gradient on entry.
+    let microbatch = |model: &Classifier, model_params: &[Var], (w, idx): &(usize, &[usize])| {
         let _mb_span = ftsim_obs::span_lazy("sim.train", || format!("microbatch:{w}"));
         let (bx, by) = gather(train_set, idx);
-        let replica = Classifier::from_parameters(cfg, &mut snapshot.iter().cloned());
-        let rparams = replica.parameters();
-        let logits = replica.forward_with(&Var::constant(bx), fused);
+        let (logits, _) = model.forward_with(&Var::constant(bx), fused);
         let loss = logits
             .cross_entropy(&by)
             .expect("labels in range")
@@ -395,9 +401,23 @@ fn train_step(
         loss.backward();
         // Hand the accumulated grads back as Send tensors; parameters the
         // microbatch never touched (inactive experts) stay `None`.
-        let grads: Vec<Option<Tensor>> = rparams.iter().map(Var::take_grad).collect();
+        let grads: Vec<Option<Tensor>> = model_params.iter().map(Var::take_grad).collect();
         (loss_value, grads)
-    });
+    };
+    let workers = threads.min(micro.len());
+    let results = if workers <= 1 {
+        micro
+            .iter()
+            .map(|mb| microbatch(model, params, mb))
+            .collect()
+    } else {
+        // Snapshot the parameter tensors once: `Tensor` is `Send`, `Var` is not.
+        let snapshot: Vec<Tensor> = params.iter().map(Var::value).collect();
+        crate::engine::parallel_map_with(workers, &micro, |mb| {
+            let replica = Classifier::from_parameters(cfg, &mut snapshot.iter().cloned());
+            microbatch(&replica, &replica.parameters(), mb)
+        })
+    };
     let (loss, grads) = tree_reduce(results);
     for (p, g) in params.iter().zip(grads) {
         if let Some(g) = g {
@@ -453,10 +473,6 @@ fn gather(sample: &TaskSample, idx: &[usize]) -> (Tensor, Vec<usize>) {
         Tensor::new([idx.len(), dim], data).expect("consistent dims"),
         labels,
     )
-}
-
-fn eval_accuracy(model: &Classifier, eval: &TaskSample) -> f64 {
-    ops::accuracy(&model.logits(&eval.features), &eval.labels)
 }
 
 #[cfg(test)]
@@ -575,6 +591,7 @@ mod tests {
         cfg.train_examples = 96;
         cfg.eval_examples = 64;
         cfg.epochs = 2;
+        let _obs = crate::obs_test_lock();
         // Reference run with observability off.
         let plain = train(&task, &cfg, "obs-test");
         let registry = ftsim_obs::registry();
@@ -673,6 +690,37 @@ mod tests {
         cfg.microbatch = cfg.batch;
         let one_slice = train(&task, &cfg, "mb");
         assert_eq!(full, one_slice);
+    }
+
+    #[test]
+    fn one_graph_free_eval_pass_matches_a_recording_forward() {
+        let task = SyntheticTask::commonsense(16, 4, 71);
+        let cfg = MoeTrainConfig::mixtral_like(2);
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let model = Classifier::new(task.dim(), task.classes(), &cfg, &mut rng);
+        let eval = task.eval_split(64);
+        // A fresh gate has a zero bias; a trained one does not, and the
+        // eval pass must route on it exactly as the training forward does.
+        let mut params: Vec<Tensor> = model.parameters().iter().map(Var::value).collect();
+        params[3] = Tensor::new([1, 8], vec![1.5, 0.0, -1.5, 0.5, 0.0, 1.0, -0.5, 0.25]).unwrap();
+        let biased = Classifier::from_parameters(&cfg, &mut params.into_iter());
+        let mut counts = Vec::new();
+        for m in [&model, &biased] {
+            let (accuracy, routing) = m.evaluate(&eval);
+            let (logits, stats) = m.forward_with(&Var::constant(eval.features.clone()), true);
+            assert!(logits.requires_grad(), "the reference pass records a graph");
+            let expect = ops::accuracy(&logits.value(), &eval.labels);
+            assert_eq!(accuracy.to_bits(), expect.to_bits());
+            assert_eq!(
+                routing,
+                TokenDistribution::from_counts(&stats.tokens_per_expert)
+            );
+            counts.push(stats.tokens_per_expert);
+        }
+        assert_ne!(
+            counts[0], counts[1],
+            "the bias must move the routing for this test to mean anything"
+        );
     }
 
     #[test]

@@ -249,22 +249,42 @@ mod tests {
             FineTuneConfig::qlora_sparse(),
             CostModel::new(GpuSpec::a40()),
         );
-        let batches: Vec<usize> = (1..=16).collect();
+        // Batch sizes no other test sweeps: the obs switch is process-wide,
+        // so sweeps running concurrently in other tests record `batch:`
+        // spans too, and only these names identify this sweep's spans.
+        let batches: Vec<usize> = (4097..=4112).collect();
+        let _obs = crate::obs_test_lock();
+        ftsim_obs::drain_events();
         ftsim_obs::enable();
         ThroughputSweep::run_with_threads(&sim, "span-test", 64, &batches, 4).expect("valid");
         ftsim_obs::disable();
         let events: Vec<ftsim_obs::Event> = ftsim_obs::drain_events()
             .into_iter()
-            .filter(|e| e.cat == "sim.sweep" && e.name.starts_with("batch:"))
+            .filter(|e| e.cat == "sim.sweep")
             .collect();
-        assert!(events.len() >= batches.len(), "{} spans", events.len());
-        let tids: std::collections::BTreeSet<u64> = events.iter().map(|e| e.tid).collect();
+        let caller: Vec<u64> = events
+            .iter()
+            .filter(|e| e.name == "throughput:span-test")
+            .map(|e| e.tid)
+            .collect();
+        assert_eq!(caller.len(), 1, "one sweep span on the calling thread");
+        let expect: Vec<String> = batches.iter().map(|b| format!("batch:{b}")).collect();
+        let spans: Vec<&ftsim_obs::Event> =
+            events.iter().filter(|e| expect.contains(&e.name)).collect();
+        // Every batch span, exactly once.
+        let mut names: Vec<&str> = spans.iter().map(|e| e.name.as_str()).collect();
+        names.sort_unstable();
+        let mut expect: Vec<&str> = expect.iter().map(String::as_str).collect();
+        expect.sort_unstable();
+        assert_eq!(names, expect);
+        // With 4 workers over 16 items the sweep always spawns, so no batch
+        // runs on the calling thread, however the workers share them out.
         assert!(
-            tids.len() >= 2,
-            "expected multiple worker threads: {tids:?}"
+            spans.iter().all(|e| e.tid != caller[0]),
+            "a batch span was recorded on the calling thread"
         );
         // One shared monotonic timeline across workers.
-        assert!(events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
+        assert!(spans.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
     }
 
     #[test]

@@ -27,6 +27,8 @@ struct Node {
 
 thread_local! {
     static NODES_CREATED: Cell<u64> = const { Cell::new(0) };
+    /// Whether ops on this thread record a graph; `false` inside [`no_grad`].
+    static RECORDING: Cell<bool> = const { Cell::new(true) };
 }
 
 /// Counter snapshot of the graph nodes the current thread has created.
@@ -34,6 +36,44 @@ pub fn arena_stats() -> AllocStats {
     AllocStats {
         fresh_allocs: NODES_CREATED.try_with(Cell::get).unwrap_or(0),
     }
+}
+
+/// Runs `f` with graph recording off on this thread, like `torch.no_grad`:
+/// every op inside builds a node with `requires_grad == false`, no backward
+/// closure and no parent edges, and `linear_act` saves no activation
+/// derivative. Values are computed by the same kernels, so they are
+/// bit-identical to a recording pass. Leaves made with [`Var::parameter`]
+/// still require gradients. The previous state is restored when `f` returns
+/// or unwinds, so scopes nest.
+///
+/// ```
+/// use ftsim_tensor::{autograd, Tensor, Var};
+/// let w = Var::parameter(Tensor::scalar(3.0));
+/// let y = autograd::no_grad(|| w.mul(&w).unwrap());
+/// assert_eq!(y.value().item(), 9.0);
+/// assert!(!y.requires_grad());
+/// assert!(autograd::grad_enabled());
+/// ```
+pub fn no_grad<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            RECORDING.with(|r| r.set(self.0));
+        }
+    }
+    let _restore = Restore(RECORDING.with(|r| r.replace(false)));
+    f()
+}
+
+/// Whether ops on this thread record a graph: `false` inside [`no_grad`].
+pub fn grad_enabled() -> bool {
+    RECORDING.with(Cell::get)
+}
+
+/// Whether an op over `inputs` records a backward edge: recording is on and
+/// some input requires gradients.
+fn records(inputs: &[&Var]) -> bool {
+    grad_enabled() && inputs.iter().any(|v| v.requires_grad())
 }
 
 /// A differentiable tensor variable.
@@ -227,20 +267,30 @@ impl Var {
         }
     }
 
-    fn unary(&self, value: Tensor, backward: impl Fn(&Var, &Tensor) + 'static) -> Var {
-        let parent = self.clone();
-        let requires = parent.requires_grad();
-        let p2 = parent.clone();
+    /// A node that records nothing: no gradient, no parents, no backward.
+    /// An op whose inputs need no gradient (or that runs inside
+    /// [`no_grad`]) has nothing to propagate, so it keeps no edges.
+    fn untracked(value: Tensor) -> Var {
         Var::from_node(Node {
             value,
             grad: None,
-            requires_grad: requires,
-            parents: vec![parent],
-            backward: if requires {
-                Some(Box::new(move |up| backward(&p2, up)))
-            } else {
-                None
-            },
+            requires_grad: false,
+            parents: Vec::new(),
+            backward: None,
+        })
+    }
+
+    fn unary(&self, value: Tensor, backward: impl Fn(&Var, &Tensor) + 'static) -> Var {
+        if !records(&[self]) {
+            return Var::untracked(value);
+        }
+        let p2 = self.clone();
+        Var::from_node(Node {
+            value,
+            grad: None,
+            requires_grad: true,
+            parents: vec![self.clone()],
+            backward: Some(Box::new(move |up| backward(&p2, up))),
         })
     }
 
@@ -250,18 +300,16 @@ impl Var {
         value: Tensor,
         backward: impl Fn(&Var, &Var, &Tensor) + 'static,
     ) -> Var {
-        let requires = a.requires_grad() || b.requires_grad();
+        if !records(&[a, b]) {
+            return Var::untracked(value);
+        }
         let (a2, b2) = (a.clone(), b.clone());
         Var::from_node(Node {
             value,
             grad: None,
-            requires_grad: requires,
+            requires_grad: true,
             parents: vec![a.clone(), b.clone()],
-            backward: if requires {
-                Some(Box::new(move |up| backward(&a2, &b2, up)))
-            } else {
-                None
-            },
+            backward: Some(Box::new(move |up| backward(&a2, &b2, up))),
         })
     }
 
@@ -379,54 +427,52 @@ impl Var {
     ///
     /// Returns a shape error if `col` is not `[m, 1]`.
     pub fn mul_col(&self, col: &Var) -> Result<Var, TensorError> {
-        let x = self.value();
-        let c = col.value();
-        let (m, n) = x
-            .shape()
-            .as_matrix()
-            .ok_or_else(|| TensorError::InvalidArgument("mul_col requires a matrix".into()))?;
-        if c.shape().as_matrix() != Some((m, 1)) {
-            return Err(TensorError::ShapeMismatch {
-                op: "mul_col",
-                lhs: x.shape().clone(),
-                rhs: c.shape().clone(),
-            });
-        }
-        let mut out = Tensor::zeros(Shape::matrix(m, n));
-        for r in 0..m {
-            let w = c.get2(r, 0);
-            for j in 0..n {
-                out.set2(r, j, x.get2(r, j) * w);
-            }
-        }
+        let out = self.with_value(|x| {
+            col.with_value(|c| {
+                let (m, n) = x.shape().as_matrix().ok_or_else(|| {
+                    TensorError::InvalidArgument("mul_col requires a matrix".into())
+                })?;
+                if c.shape().as_matrix() != Some((m, 1)) {
+                    return Err(TensorError::ShapeMismatch {
+                        op: "mul_col",
+                        lhs: x.shape().clone(),
+                        rhs: c.shape().clone(),
+                    });
+                }
+                let mut out = Tensor::zeros(Shape::matrix(m, n));
+                scale_rows(out.data_mut(), x.data(), c.data(), n);
+                Ok(out)
+            })
+        })?;
         Ok(Var::binary(self, col, out, move |a, b, up| {
             let (m, n) = up.shape().as_matrix().expect("matrix");
             if a.requires_grad() {
                 let da = b.with_value(|cv| {
                     let mut da = Tensor::zeros(Shape::matrix(m, n));
-                    for r in 0..m {
-                        let w = cv.get2(r, 0);
-                        for j in 0..n {
-                            da.set2(r, j, up.get2(r, j) * w);
-                        }
-                    }
+                    scale_rows(da.data_mut(), up.data(), cv.data(), n);
                     da
                 });
-                a.accumulate_grad(&da);
+                a.accumulate_grad_owned(da);
             }
             if b.requires_grad() {
                 let db = a.with_value(|xv| {
                     let mut db = Tensor::zeros(Shape::matrix(m, 1));
-                    for r in 0..m {
+                    // Each row's sum runs in ascending j from +0.0.
+                    for ((d, up_row), x_row) in db
+                        .data_mut()
+                        .iter_mut()
+                        .zip(up.data().chunks_exact(n.max(1)))
+                        .zip(xv.data().chunks_exact(n.max(1)))
+                    {
                         let mut s = 0.0;
-                        for j in 0..n {
-                            s += up.get2(r, j) * xv.get2(r, j);
+                        for (&u, &x) in up_row.iter().zip(x_row) {
+                            s += u * x;
                         }
-                        db.set2(r, 0, s);
+                        *d = s;
                     }
                     db
                 });
-                b.accumulate_grad(&db);
+                b.accumulate_grad_owned(db);
             }
         }))
     }
@@ -590,11 +636,13 @@ impl Var {
     /// Fused linear layer `act(self @ weight + bias)` as a **single** graph
     /// node (bias shape `[1, n]`), computed by the fused matmul kernel whose
     /// epilogue applies the bias and activation while each output tile is
-    /// cache-hot, saving the pre-activation values for the backward pass.
+    /// cache-hot, saving the activation's derivative at each pre-activation
+    /// value, `act'(pre)`, for the backward pass (only when the node records
+    /// one and the activation is not `Identity`).
     ///
     /// The backward pass is fused too: at training-step scale it streams
-    /// `act'` row by row into the `d bias` / `d self` / `d weight` sweeps
-    /// (see `parallel::linear_act_backward_into`), so the intermediate
+    /// `up ⊙ act'(pre)` row by row into the `d bias` / `d self` / `d weight`
+    /// sweeps (see `parallel::linear_act_backward_into`), so the intermediate
     /// `dpre = up ⊙ act'(pre)` tensor — and the operand transposes the
     /// materialized path needs — are never built. Above the parallel-matmul
     /// threshold it falls back to the materialized path, whose row-
@@ -648,17 +696,20 @@ impl Var {
                 rhs: bv.shape().clone(),
             });
         }
+        let requires = records(&[self, weight, bias]);
         let mut value = Tensor::zeros(out_shape);
-        // The identity epilogue needs no saved pre-activation: act' ≡ 1 and
-        // the upstream gradient passes through untouched.
-        let mut pre = (act != Activation::Identity).then(|| Tensor::zeros(Shape::matrix(m, n)));
+        // The identity epilogue needs no saved derivative: act' ≡ 1 and the
+        // upstream gradient passes through untouched. Nor does a pass that
+        // records no backward.
+        let mut dact =
+            (requires && act != Activation::Identity).then(|| Tensor::zeros(Shape::matrix(m, n)));
         crate::parallel::matmul_bias_act_into(
             xv.data(),
             wv.data(),
             Some(bv.data()),
             act,
             value.data_mut(),
-            pre.as_mut().map(Tensor::data_mut),
+            dact.as_mut().map(Tensor::data_mut),
             m,
             k,
             n,
@@ -666,27 +717,25 @@ impl Var {
         drop(xb);
         drop(wb);
         drop(bb);
-        let requires = self.requires_grad() || weight.requires_grad() || bias.requires_grad();
+        if !requires {
+            return Ok(Var::untracked(value));
+        }
         let (x2, w2, b2) = (self.clone(), weight.clone(), bias.clone());
         Ok(Var::from_node(Node {
             value,
             grad: None,
-            requires_grad: requires,
+            requires_grad: true,
             parents: vec![self.clone(), weight.clone(), bias.clone()],
-            backward: if requires {
-                Some(Box::new(move |up| {
-                    let (m, n) = up.shape().as_matrix().expect("matrix");
-                    let k = x2.with_value(|xv| xv.shape().as_matrix().expect("matrix").1);
-                    let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
-                    if flops < crate::parallel::PARALLEL_FLOP_THRESHOLD {
-                        linear_act_backward_streaming(&x2, &w2, &b2, pre.as_ref(), act, up);
-                    } else {
-                        linear_act_backward_materialized(&x2, &w2, &b2, pre.as_ref(), act, up);
-                    }
-                }))
-            } else {
-                None
-            },
+            backward: Some(Box::new(move |up| {
+                let (m, n) = up.shape().as_matrix().expect("matrix");
+                let k = x2.with_value(|xv| xv.shape().as_matrix().expect("matrix").1);
+                let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
+                if flops < crate::parallel::PARALLEL_FLOP_THRESHOLD {
+                    linear_act_backward_streaming(&x2, &w2, &b2, dact.as_ref(), up);
+                } else {
+                    linear_act_backward_materialized(&x2, &w2, &b2, dact.as_ref(), up);
+                }
+            })),
         }))
     }
 
@@ -735,9 +784,11 @@ impl Var {
                 }
             }
         }
-        let p = out.clone();
+        // The backward pass needs P; save it only when one will run.
+        let saved = records(&[self]).then(|| out.clone());
         Ok(self.unary(out, move |a, up| {
             // dX = P ⊙ (dP - rowsum(dP ⊙ P)); masked entries have P = 0.
+            let p = saved.as_ref().expect("saved whenever the op records");
             let (m, n) = up.shape().as_matrix().expect("matrix");
             let mut dx = Tensor::zeros(Shape::matrix(m, n));
             for r in 0..m {
@@ -843,6 +894,19 @@ fn check_rows(op: &str, rows: &[usize], m: usize) -> Result<(), TensorError> {
     }
 }
 
+/// `out[r][j] = src[r][j] * col[r]` over rows of width `n`.
+fn scale_rows(out: &mut [f32], src: &[f32], col: &[f32], n: usize) {
+    for ((out_row, src_row), &w) in out
+        .chunks_exact_mut(n.max(1))
+        .zip(src.chunks_exact(n.max(1)))
+        .zip(col)
+    {
+        for (o, &v) in out_row.iter_mut().zip(src_row) {
+            *o = v * w;
+        }
+    }
+}
+
 /// Rows `rows` of matrix `x` (indices already checked), in order.
 fn gather(x: &Tensor, rows: &[usize]) -> Tensor {
     let n = x.shape().as_matrix().expect("matrix").1;
@@ -853,18 +917,12 @@ fn gather(x: &Tensor, rows: &[usize]) -> Tensor {
     out
 }
 
-/// The streaming fused backward path for [`Var::linear_act`]: folds `act'`
-/// into the `d bias` / `d self` / `d weight` sweeps without materializing
-/// `dpre` or the operand transposes. Serial — used below the parallel
-/// threshold, where it wins by skipping four full-tensor temporaries.
-fn linear_act_backward_streaming(
-    x2: &Var,
-    w2: &Var,
-    b2: &Var,
-    pre: Option<&Tensor>,
-    act: Activation,
-    up: &Tensor,
-) {
+/// The streaming fused backward path for [`Var::linear_act`]: folds the
+/// saved `act'(pre)` into the `d bias` / `d self` / `d weight` sweeps
+/// without materializing `dpre` or the operand transposes. Serial — used
+/// below the parallel threshold, where it wins by skipping four full-tensor
+/// temporaries.
+fn linear_act_backward_streaming(x2: &Var, w2: &Var, b2: &Var, dact: Option<&Tensor>, up: &Tensor) {
     let (db, dx, dw) = x2.with_value(|xv| {
         w2.with_value(|wv| {
             let (m, k) = xv.shape().as_matrix().expect("matrix");
@@ -881,8 +939,7 @@ fn linear_act_backward_streaming(
             let mut scratch = vec![0.0; n];
             crate::parallel::linear_act_backward_into(
                 up.data(),
-                pre.map(Tensor::data),
-                act,
+                dact.map(Tensor::data),
                 xv.data(),
                 wv.data(),
                 db.as_mut().map(Tensor::data_mut),
@@ -909,7 +966,8 @@ fn linear_act_backward_streaming(
 }
 
 /// The materialized fused backward path for [`Var::linear_act`]: builds
-/// `dpre = up ⊙ act'(pre)` and runs the two gradient matmuls through the
+/// `dpre = up ⊙ act'(pre)` from the saved derivative and runs the two
+/// gradient matmuls through the
 /// (row-partitionable) microkernel. Bit-identical to the streaming path —
 /// both accumulate each gradient element in the same order — and preferred
 /// above the parallel threshold where threaded matmuls dominate.
@@ -917,16 +975,15 @@ fn linear_act_backward_materialized(
     x2: &Var,
     w2: &Var,
     b2: &Var,
-    pre: Option<&Tensor>,
-    act: Activation,
+    dact: Option<&Tensor>,
     up: &Tensor,
 ) {
     // dpre = up ⊙ act'(pre); for Identity, up itself.
     let owned;
-    let dpre: &Tensor = match pre {
-        Some(pre_t) => {
+    let dpre: &Tensor = match dact {
+        Some(dact_t) => {
             owned = up
-                .zip(pre_t, "linear_act", |g, p| g * act.grad(p))
+                .zip(dact_t, "linear_act", |g, d| g * d)
                 .expect("same shape");
             &owned
         }
@@ -1424,6 +1481,46 @@ mod tests {
         loss.backward();
         assert!(c.grad().is_none());
         assert!((w.grad().unwrap().item() - 2.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn no_grad_records_nothing_and_restores_the_previous_state() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let x = Var::parameter(Tensor::rand_uniform([3, 4], 1.0, &mut rng));
+        let w = Var::parameter(Tensor::rand_uniform([4, 2], 1.0, &mut rng));
+        let b = Var::parameter(Tensor::rand_uniform([1, 2], 1.0, &mut rng));
+        let build = || {
+            let h = x.linear_act(&w, &b, Activation::Silu).unwrap();
+            let p = h.masked_softmax_rows(&vec![vec![true, false]; 3]).unwrap();
+            let c = h.gather_column(&[2, 0, 1], 1).unwrap();
+            let y = h.mul(&p).unwrap().mul_col(&c).unwrap().add(&h).unwrap();
+            let y = y.index_add_rows(&[1], &y.gather_rows(&[0]).unwrap());
+            vec![h, p, c, y.unwrap()]
+        };
+        let recorded = build();
+        assert!(grad_enabled());
+        let plain = no_grad(|| {
+            assert!(!grad_enabled());
+            // Scopes nest and restore the enclosing state.
+            no_grad(|| assert!(!grad_enabled()));
+            assert!(!grad_enabled());
+            build()
+        });
+        assert!(grad_enabled(), "the scope must restore recording");
+        for (i, (r, p)) in recorded.iter().zip(&plain).enumerate() {
+            assert!(r.requires_grad(), "node {i} outside the scope records");
+            assert!(!p.requires_grad(), "node {i} inside the scope records");
+            assert!(p.node.borrow().parents.is_empty(), "node {i} kept parents");
+            assert!(
+                p.node.borrow().backward.is_none(),
+                "node {i} kept a closure"
+            );
+            assert_eq!(r.value(), p.value(), "node {i} value changed");
+        }
+        // Unwinding out of the scope restores recording too.
+        let caught = std::panic::catch_unwind(|| no_grad(|| panic!("inside the scope")));
+        assert!(caught.is_err());
+        assert!(grad_enabled(), "an unwinding scope must restore recording");
     }
 
     #[test]

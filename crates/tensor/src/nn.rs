@@ -427,21 +427,6 @@ impl MoeLayer {
         p
     }
 
-    /// Routing statistics for `x` (`[tokens, hidden]`) without running
-    /// the experts: the same gate kernel and top-k selection as
-    /// [`MoeLayer::forward`], so the counts are the ones a forward pass
-    /// reports.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the gate.
-    pub fn route_only(&self, x: &Var) -> Result<RoutingStats, TensorError> {
-        let (_, routed) = self.gate.forward(x)?.with_value(|l| self.select(l));
-        Ok(RoutingStats {
-            tokens_per_expert: routed.iter().map(Vec::len).collect(),
-        })
-    }
-
     /// Top-k selection over gate logits `[tokens, experts]` (a
     /// non-differentiable index choice, like `torch.topk`): each token's
     /// expert mask, and each expert's routed token rows in ascending order.
@@ -541,19 +526,29 @@ impl AdamW {
         let bc1 = 1.0 - self.beta1.powf(t);
         let bc2 = 1.0 - self.beta2.powf(t);
         let (lr, b1, b2, eps, wd) = (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
+        let (c1, c2) = (1.0 - b1, 1.0 - b2);
         for (p, (m, v)) in params.iter().zip(self.moments.iter_mut()) {
             p.update_with_grad(|val, g| {
                 if m.is_empty() {
                     m.resize(g.numel(), 0.0);
                     v.resize(g.numel(), 0.0);
                 }
-                for i in 0..val.numel() {
-                    let gi = g.data()[i];
-                    m[i] = b1 * m[i] + (1.0 - b1) * gi;
-                    v[i] = b2 * v[i] + (1.0 - b2) * gi * gi;
-                    let mhat = m[i] / bc1;
-                    let vhat = v[i] / bc2;
-                    let w = &mut val.data_mut()[i];
+                // One zipped pass with no indexing, so no bounds check keeps
+                // the loop from vectorizing. Each lane does the same
+                // operations in the same order as a per-index loop (every
+                // `/` and `sqrt` is correctly rounded in any width), so the
+                // update is bit-identical to one.
+                for (((w, &gi), mi), vi) in val
+                    .data_mut()
+                    .iter_mut()
+                    .zip(g.data())
+                    .zip(m.iter_mut())
+                    .zip(v.iter_mut())
+                {
+                    *mi = b1 * *mi + c1 * gi;
+                    *vi = b2 * *vi + c2 * gi * gi;
+                    let mhat = *mi / bc1;
+                    let vhat = *vi / bc2;
                     *w -= lr * (mhat / (vhat.sqrt() + eps) + wd * *w);
                 }
             });
@@ -735,29 +730,6 @@ mod tests {
     }
 
     #[test]
-    fn route_only_matches_forward_routing() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let moe = MoeLayer::new(ExpertKind::GeluFfn, 4, 8, 4, 2, &mut rng).unwrap();
-        let x = Var::constant(Tensor::rand_uniform([12, 4], 1.0, &mut rng));
-        // A fresh gate has a zero bias; a trained one does not, and the
-        // router must route on it exactly as the forward pass does.
-        let mut params: Vec<Tensor> = moe.parameters().iter().map(Var::value).collect();
-        params[1] = Tensor::new([1, 4], vec![1.5, 0.0, -1.5, 0.5]).unwrap();
-        let biased =
-            MoeLayer::from_parameters(ExpertKind::GeluFfn, 4, 2, &mut params.into_iter()).unwrap();
-        for layer in [&moe, &biased] {
-            let quick = layer.route_only(&x).unwrap();
-            let (_, full) = layer.forward(&x).unwrap();
-            assert_eq!(quick.tokens_per_expert, full.tokens_per_expert);
-        }
-        assert_ne!(
-            moe.route_only(&x).unwrap().tokens_per_expert,
-            biased.route_only(&x).unwrap().tokens_per_expert,
-            "the bias must move the routing for this test to mean anything"
-        );
-    }
-
-    #[test]
     fn sgd_descends_quadratic() {
         let w = Var::parameter(Tensor::scalar(5.0));
         let opt = Sgd::new(0.1);
@@ -780,6 +752,54 @@ mod tests {
             opt.step(std::slice::from_ref(&w));
         }
         assert!(w.value().item().abs() < 1e-2, "w = {}", w.value().item());
+    }
+
+    #[test]
+    fn vectorized_adamw_matches_the_indexed_loop_bitwise() {
+        // The per-index loop the zipped pass replaced, kept as its oracle.
+        fn indexed_step(
+            opt: &AdamW,
+            t: u64,
+            w: &mut [f32],
+            g: &[f32],
+            m: &mut [f32],
+            v: &mut [f32],
+        ) {
+            let t = t as f32;
+            let bc1 = 1.0 - opt.beta1.powf(t);
+            let bc2 = 1.0 - opt.beta2.powf(t);
+            let (lr, b1, b2, eps, wd) = (opt.lr, opt.beta1, opt.beta2, opt.eps, opt.weight_decay);
+            for i in 0..w.len() {
+                let gi = g[i];
+                m[i] = b1 * m[i] + (1.0 - b1) * gi;
+                v[i] = b2 * v[i] + (1.0 - b2) * gi * gi;
+                let mhat = m[i] / bc1;
+                let vhat = v[i] / bc2;
+                w[i] -= lr * (mhat / (vhat.sqrt() + eps) + wd * w[i]);
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(45);
+        // 37 elements: full vector lanes plus a tail.
+        let init = Tensor::rand_uniform([1, 37], 1.0, &mut rng);
+        let param = Var::parameter(init.clone());
+        let mut opt = AdamW::new(0.05, 1);
+        opt.weight_decay = 0.1;
+        let mut w = init.data().to_vec();
+        let (mut m, mut v) = (vec![0.0; 37], vec![0.0; 37]);
+        for t in 1..=3 {
+            let g = Tensor::rand_uniform([1, 37], 2.0, &mut rng);
+            indexed_step(&opt, t, &mut w, g.data(), &mut m, &mut v);
+            param.seed_grad(g);
+            opt.step(std::slice::from_ref(&param));
+            let bits = |d: &[f32]| d.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            assert_eq!(
+                bits(param.value().data()),
+                bits(&w),
+                "weights diverged at step {t}"
+            );
+            assert_eq!(bits(&opt.moments[0].0), bits(&m), "m diverged at step {t}");
+            assert_eq!(bits(&opt.moments[0].1), bits(&v), "v diverged at step {t}");
+        }
     }
 
     /// Trains a small MoE classifier for `steps` steps on fixed data and

@@ -67,6 +67,22 @@ impl Activation {
         }
     }
 
+    /// `(self.apply(x), self.grad(x))`, bit-identical to the two calls:
+    /// `Silu` and `Tanh` evaluate their shared sigmoid / `tanh` once.
+    pub(crate) fn apply_and_grad(self, x: f32) -> (f32, f32) {
+        match self {
+            Activation::Silu => {
+                let s = sigmoid(x);
+                (x * s, s + x * s * (1.0 - s))
+            }
+            Activation::Tanh => {
+                let t = x.tanh();
+                (t, 1.0 - t * t)
+            }
+            act => (act.apply(x), act.grad(x)),
+        }
+    }
+
     /// Derivative of the activation with respect to its input.
     pub fn grad(self, x: f32) -> f32 {
         match self {
@@ -385,6 +401,37 @@ mod tests {
                 "x={x}: {} vs {fd}",
                 gelu_grad(x)
             );
+        }
+    }
+
+    #[test]
+    fn apply_and_grad_is_bitwise_the_two_calls() {
+        let mut xs: Vec<f32> = (-400..=400).map(|i| i as f32 * 0.0371).collect();
+        xs.extend([
+            0.0,
+            -0.0,
+            1e-30,
+            -1e-30,
+            88.0,
+            -88.0,
+            1e30,
+            -1e30,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ]);
+        for act in [
+            Activation::Identity,
+            Activation::Relu,
+            Activation::Gelu,
+            Activation::Silu,
+            Activation::Tanh,
+        ] {
+            for &x in &xs {
+                let (y, d) = act.apply_and_grad(x);
+                assert_eq!(y.to_bits(), act.apply(x).to_bits(), "{act:?} apply at {x}");
+                assert_eq!(d.to_bits(), act.grad(x).to_bits(), "{act:?} grad at {x}");
+            }
         }
     }
 

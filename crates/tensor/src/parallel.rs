@@ -11,11 +11,12 @@
 //!   correct, and the reference every other kernel must match bit-for-bit.
 //! * `matmul_microkernel_into` — the production kernel: cache-blocked
 //!   over the inner dimension and tiled into fixed `MR`×`NR` register
-//!   accumulators. Its band tiles, the fused epilogue's bias add, and the
-//!   backward epilogue's `db`/`dx`/`dw` sweeps dispatch at runtime to explicit
-//!   AVX2 bodies in [`crate::simd`] when the host supports them, with the
-//!   scalar tiles as the always-compiled fallback (`FTSIM_NO_SIMD=1`
-//!   forces it).
+//!   accumulators (and `R`×`NR`, `R < MR`, for the rows left over). Its
+//!   band tiles and the fused epilogue's bias add dispatch at runtime to
+//!   explicit AVX2 bodies in [`crate::simd`] when the host supports them,
+//!   and the backward epilogue's `db`/`dx`/`dw` sweep to its one body
+//!   compiled for AVX2, with the plain builds as the always-compiled
+//!   fallback (`FTSIM_NO_SIMD=1` forces it).
 //!
 //! The contract: every output element accumulates its products in
 //! ascending inner-index (`p`) order, skipping terms whose *lhs* factor is
@@ -128,46 +129,15 @@ pub(crate) fn matmul_microkernel_into(
     matmul_rows(lhs, rhs, out, 0, k, n);
 }
 
-/// One row × one `K_BLOCK` panel: ascending `p`, lhs zero-skip, full
-/// column span. The microkernel's row-remainder path, in the same order as
-/// the naive oracle.
-#[allow(clippy::too_many_arguments)]
-fn blocked_row_panel(
-    lhs: &[f32],
-    rhs: &[f32],
-    out_rows: &mut [f32],
-    row0: usize,
-    i: usize,
-    p0: usize,
-    p1: usize,
-    k: usize,
-    n: usize,
-) {
-    let lhs_row = &lhs[(row0 + i) * k..(row0 + i + 1) * k];
-    let out_row = &mut out_rows[i * n..(i + 1) * n];
-    for p in p0..p1 {
-        let a = lhs_row[p];
-        if a == 0.0 {
-            continue;
-        }
-        let rhs_row = &rhs[p * n..(p + 1) * n];
-        for (o, &b) in out_row.iter_mut().zip(rhs_row) {
-            *o += a * b;
-        }
-    }
-}
-
-/// The inner microkernel: walks one `MR`-row band across all `NR`-wide
-/// column strips for one K panel, carrying each `MR`×`NR` tile in a
+/// The inner microkernel: walks one `R`-row band (`R ≤ MR`) across all
+/// `NR`-wide column strips for one K panel, carrying each `R`×`NR` tile in a
 /// fixed-size accumulator array (registers) and touching `out_rows` only at
 /// tile load/store.
 ///
-/// `ZERO_SKIP` monomorphizes the lhs `a == 0.0` skip in or out: the caller
-/// scans the band's panels and picks `false` (straight-line FMAs, fully
-/// vectorizable) when no exact zero exists — bit-identical because the skip
-/// would never fire — and `true` otherwise.
-fn band_tiles<const ZERO_SKIP: bool>(
-    lhs_panels: &[&[f32]; MR],
+/// `ZERO_SKIP` monomorphizes the lhs `a == 0.0` skip in or out; see
+/// [`matmul_rows`] for when the branch-free body is bit-identical.
+fn band_tiles<const R: usize, const ZERO_SKIP: bool>(
+    lhs_panels: &[&[f32]; R],
     rhs: &[f32],
     out_rows: &mut [f32],
     i: usize,
@@ -178,8 +148,8 @@ fn band_tiles<const ZERO_SKIP: bool>(
     let panel_len = lhs_panels[0].len();
     let mut j0 = 0;
     while j0 < n_main {
-        // Load the MR×NR accumulator tile from the output.
-        let mut acc = [[0.0f32; NR]; MR];
+        // Load the R×NR accumulator tile from the output.
+        let mut acc = [[0.0f32; NR]; R];
         for (r, acc_r) in acc.iter_mut().enumerate() {
             let base = (i + r) * n + j0;
             acc_r.copy_from_slice(&out_rows[base..base + NR]);
@@ -207,74 +177,116 @@ fn band_tiles<const ZERO_SKIP: bool>(
     }
 }
 
+/// Whether every element is finite; a branch-free fold, so it vectorizes.
+fn all_finite(v: &[f32]) -> bool {
+    v.iter().fold(true, |ok, x| ok & x.is_finite())
+}
+
 /// `out[m×n] += lhs[m×k] @ rhs[k×n]` for a contiguous block of rows
 /// starting at `row0`, via the register-tile microkernel. `out_rows` holds
-/// exactly the output rows of the block.
+/// exactly the output rows of the block and must hold no `-0.0` (callers
+/// pass it zero-initialized).
 ///
 /// Geometry: for each `K_BLOCK` inner panel, rows are walked in bands of
-/// [`MR`] and columns in strips of [`NR`]; each `MR`×`NR` tile is loaded
-/// into a fixed-size accumulator array, updated with ascending-`p` FMAs
+/// [`MR`] — the last band takes the 1–5 rows left over, with a tile of its
+/// own height — and columns in strips of [`NR`]; each tile is loaded into a
+/// fixed-size accumulator array, updated with ascending-`p` multiply-adds
 /// across the panel, and stored back once. Loading the tile from `out` at
 /// panel entry (rather than zeroing it) means each element performs exactly
-/// the same addition sequence as the naive oracle —
-/// ascending `p` with the lhs `0.0` skip — so results stay bit-identical.
-/// Column remainders (`n % NR`) and row remainders (`rows % MR`) fall back
-/// to the scalar panel loop in the same order.
+/// the same addition sequence as the naive oracle — ascending `p` with the
+/// lhs `0.0` skip — so results stay bit-identical. The column remainder
+/// (`n % NR`) falls back to a scalar loop in the same order.
+///
+/// The zero-skip (`a == 0.0` contributes nothing, not `acc + 0·b`) is
+/// observable only when some rhs factor is `±inf` or NaN: an accumulator
+/// starts at `+0.0`, a round-to-nearest sum that starts at `+0.0` is never
+/// `-0.0` (with gradual underflow, a nonzero sum of floats never rounds to
+/// zero), and adding `0·b = ±0` for a finite `b` to anything but `-0.0`
+/// leaves every bit alone. So a band runs the branch-free tile when the rhs
+/// is all finite (checked at most once per call) or the band's lhs panels
+/// hold no exact zero, and keeps the per-element skip otherwise.
 fn matmul_rows(lhs: &[f32], rhs: &[f32], out_rows: &mut [f32], row0: usize, k: usize, n: usize) {
     let rows = out_rows.len() / n.max(1);
-    let n_main = n - n % NR;
-    // One dispatch decision per kernel call, hoisted out of the band loops.
-    let simd = crate::simd::active();
+    let mut band = Band {
+        lhs,
+        rhs,
+        row0,
+        k,
+        n,
+        n_main: n - n % NR,
+        // One dispatch decision per kernel call, hoisted out of the band loops.
+        simd: crate::simd::active(),
+        rhs_finite: None,
+    };
     for p0 in (0..k).step_by(K_BLOCK) {
         let p1 = (p0 + K_BLOCK).min(k);
         let mut i = 0;
-        while i + MR <= rows {
-            let band = (row0 + i) * k;
-            // Pre-slice each row's K panel so the p loop is bounds-check free.
-            let lhs_panels: [&[f32]; MR] =
-                std::array::from_fn(|r| &lhs[band + r * k + p0..band + r * k + p1]);
-            // The zero-skip contract (`a == 0.0` contributes nothing, not
-            // `acc + 0.0*b`) only fires when a panel holds an exact zero.
-            // Scan once per band×panel and dispatch: the dense path drops
-            // the per-element branch so the FMA tile stays straight-line,
-            // and is trivially bit-identical because no element would have
-            // been skipped anyway.
-            let dense = lhs_panels
-                .iter()
-                .all(|panel| panel.iter().all(|&a| a != 0.0));
-            if simd {
-                // SAFETY: `simd::active()` returned true, so the host was
-                // runtime-verified to support the AVX2 bodies; the slice
-                // geometry is exactly what the scalar `band_tiles` uses.
-                unsafe {
-                    crate::simd::band_tiles(!dense, &lhs_panels, rhs, out_rows, i, p0, n_main, n);
-                }
-            } else if dense {
-                band_tiles::<false>(&lhs_panels, rhs, out_rows, i, p0, n_main, n);
-            } else {
-                band_tiles::<true>(&lhs_panels, rhs, out_rows, i, p0, n_main, n);
+        while i < rows {
+            let height = (rows - i).min(MR);
+            match height {
+                6 => band.run::<6>(out_rows, i, p0, p1),
+                5 => band.run::<5>(out_rows, i, p0, p1),
+                4 => band.run::<4>(out_rows, i, p0, p1),
+                3 => band.run::<3>(out_rows, i, p0, p1),
+                2 => band.run::<2>(out_rows, i, p0, p1),
+                _ => band.run::<1>(out_rows, i, p0, p1),
             }
-            // Scalar column tail: same ascending-p order over j >= n_main.
-            if n_main < n {
-                for (r, lhs_panel) in lhs_panels.iter().enumerate() {
-                    let out_row = &mut out_rows[(i + r) * n + n_main..(i + r + 1) * n];
-                    for (off, p) in (p0..p1).enumerate() {
-                        let a = lhs_panel[off];
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let rhs_tail = &rhs[p * n + n_main..(p + 1) * n];
-                        for (o, &b) in out_row.iter_mut().zip(rhs_tail) {
-                            *o += a * b;
-                        }
+            i += height;
+        }
+    }
+}
+
+/// The per-call state of [`matmul_rows`] that every band shares.
+struct Band<'a> {
+    lhs: &'a [f32],
+    rhs: &'a [f32],
+    row0: usize,
+    k: usize,
+    n: usize,
+    n_main: usize,
+    simd: bool,
+    /// Whether the rhs is all finite; computed the first time a band's lhs
+    /// holds a zero, since only then does the answer matter.
+    rhs_finite: Option<bool>,
+}
+
+impl Band<'_> {
+    /// One `R`-row band over the K panel `p0..p1`, starting at block row `i`.
+    fn run<const R: usize>(&mut self, out_rows: &mut [f32], i: usize, p0: usize, p1: usize) {
+        let (lhs, rhs, k, n, n_main) = (self.lhs, self.rhs, self.k, self.n, self.n_main);
+        let base = (self.row0 + i) * k;
+        // Pre-slice each row's K panel so the p loop is bounds-check free.
+        let lhs_panels: [&[f32]; R] =
+            std::array::from_fn(|r| &lhs[base + r * k + p0..base + r * k + p1]);
+        let zero_skip = lhs_panels.iter().any(|panel| panel.contains(&0.0))
+            && !*self.rhs_finite.get_or_insert_with(|| all_finite(rhs));
+        if self.simd {
+            // SAFETY: `simd::active()` returned true, so the host was
+            // runtime-verified to support the AVX2 bodies; the slice
+            // geometry is exactly what the scalar `band_tiles` uses.
+            unsafe {
+                crate::simd::band_tiles(zero_skip, &lhs_panels, rhs, out_rows, i, p0, n_main, n);
+            }
+        } else if zero_skip {
+            band_tiles::<R, true>(&lhs_panels, rhs, out_rows, i, p0, n_main, n);
+        } else {
+            band_tiles::<R, false>(&lhs_panels, rhs, out_rows, i, p0, n_main, n);
+        }
+        // Scalar column tail: same ascending-p order over j >= n_main.
+        if n_main < n {
+            for (r, lhs_panel) in lhs_panels.iter().enumerate() {
+                let out_row = &mut out_rows[(i + r) * n + n_main..(i + r + 1) * n];
+                for (off, p) in (p0..p1).enumerate() {
+                    let a = lhs_panel[off];
+                    if a == 0.0 {
+                        continue;
+                    }
+                    let rhs_tail = &rhs[p * n + n_main..(p + 1) * n];
+                    for (o, &b) in out_row.iter_mut().zip(rhs_tail) {
+                        *o += a * b;
                     }
                 }
             }
-            i += MR;
-        }
-        // Row remainder: the shared scalar panel loop.
-        for ii in i..rows {
-            blocked_row_panel(lhs, rhs, out_rows, row0, ii, p0, p1, k, n);
         }
     }
 }
@@ -329,24 +341,12 @@ pub(crate) fn add_assign_slices(dst: &mut [f32], src: &[f32]) {
     }
 }
 
-/// `dst[j] += a * src[j]`, SIMD-dispatched with mul-then-add rounding on
-/// both paths (never fmadd), so the two bodies are bit-identical.
-pub(crate) fn axpy_slices(dst: &mut [f32], a: f32, src: &[f32]) {
-    debug_assert_eq!(dst.len(), src.len());
-    if crate::simd::active() {
-        // SAFETY: runtime-verified AVX2 support; equal lengths asserted.
-        unsafe { crate::simd::axpy(dst, a, src) }
-        return;
-    }
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d += a * s;
-    }
-}
-
 /// Bias + activation epilogue over a block of freshly-computed matmul output
 /// rows, applied while the tile is still cache-hot: each element becomes
-/// `act(v + bias[j])`, and the post-bias pre-activation value is optionally
-/// saved into `pre_rows` (same layout as `out_rows`) for the backward pass.
+/// `act(v + bias[j])`, and the activation's derivative at the post-bias
+/// value, `act'(v + bias[j])`, is optionally saved into `dact_rows` (same
+/// layout as `out_rows`) for the backward pass, so the backward never
+/// re-evaluates `act'` and `Silu` computes its sigmoid once.
 ///
 /// The bias add is the SIMD-dispatched [`add_assign_slices`]; the
 /// activation stays scalar on purpose — `Gelu`/`Silu`/`Tanh` go through
@@ -354,7 +354,7 @@ pub(crate) fn axpy_slices(dst: &mut [f32], a: f32, src: &[f32]) {
 /// `_mm256_max_ps` does not reproduce.
 fn epilogue_rows(
     out_rows: &mut [f32],
-    mut pre_rows: Option<&mut [f32]>,
+    mut dact_rows: Option<&mut [f32]>,
     bias: Option<&[f32]>,
     act: crate::ops::Activation,
     n: usize,
@@ -367,19 +367,26 @@ fn epilogue_rows(
             // Same per-element `v + bias[j]` add the scalar epilogue did.
             add_assign_slices(row, b);
         }
-        if let Some(pre) = pre_rows.as_deref_mut() {
-            pre[ri * n..(ri + 1) * n].copy_from_slice(row);
-        }
-        for o in row.iter_mut() {
-            *o = act.apply(*o);
+        match dact_rows.as_deref_mut() {
+            Some(dact) => {
+                for (o, d) in row.iter_mut().zip(&mut dact[ri * n..(ri + 1) * n]) {
+                    (*o, *d) = act.apply_and_grad(*o);
+                }
+            }
+            None => {
+                for o in row.iter_mut() {
+                    *o = act.apply(*o);
+                }
+            }
         }
     }
 }
 
 /// Fused `out = act(lhs @ rhs + bias)` using the same microkernel matmul as
 /// [`matmul_into`], with the bias/activation epilogue running inside each
-/// worker's row block. `pre`, when given, receives the pre-activation
-/// (post-bias) values — the autograd fused node needs them for `act'`.
+/// worker's row block. `dact`, when given, receives `act'` at each
+/// pre-activation (post-bias) value — the autograd fused node's backward
+/// multiplies the upstream gradient by it.
 ///
 /// Bit-identical to matmul → row-bias add → elementwise activation at any
 /// thread count: the matmul accumulation order is unchanged and the epilogue
@@ -391,7 +398,7 @@ pub(crate) fn matmul_bias_act_into(
     bias: Option<&[f32]>,
     act: crate::ops::Activation,
     out: &mut [f32],
-    pre: Option<&mut [f32]>,
+    dact: Option<&mut [f32]>,
     m: usize,
     k: usize,
     n: usize,
@@ -401,21 +408,21 @@ pub(crate) fn matmul_bias_act_into(
     let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
     if threads <= 1 || flops < PARALLEL_FLOP_THRESHOLD {
         matmul_rows(lhs, rhs, out, 0, k, n);
-        epilogue_rows(out, pre, bias, act, n);
+        epilogue_rows(out, dact, bias, act, n);
         return;
     }
     let rows_per_thread = m.div_ceil(threads);
     std::thread::scope(|scope| {
-        let mut pre_rest = pre;
+        let mut dact_rest = dact;
         for (block, out_rows) in out.chunks_mut(rows_per_thread * n).enumerate() {
-            let pre_rows = pre_rest.take().map(|p| {
+            let dact_rows = dact_rest.take().map(|p| {
                 let (head, tail) = p.split_at_mut(out_rows.len());
-                pre_rest = Some(tail);
+                dact_rest = Some(tail);
                 head
             });
             scope.spawn(move || {
                 matmul_rows(lhs, rhs, out_rows, block * rows_per_thread, k, n);
-                epilogue_rows(out_rows, pre_rows, bias, act, n);
+                epilogue_rows(out_rows, dact_rows, bias, act, n);
             });
         }
     });
@@ -423,14 +430,15 @@ pub(crate) fn matmul_bias_act_into(
 
 /// Streaming fused backward epilogue for `y = act(x @ w + b)`.
 ///
-/// Given the upstream gradient `up[m×n]` and the saved pre-activation
-/// `pre[m×n]` (`None` means the activation was `Identity`), accumulates
+/// Given the upstream gradient `up[m×n]` and the saved activation
+/// derivative `dact[m×n] = act'(pre)` (`None` means the activation was
+/// `Identity`), accumulates
 ///
 /// * `db[n]    += Σ_r dpre[r]`                (bias gradient)
 /// * `dx[m×k]  = dpre @ wᵀ`                   (input gradient)
 /// * `dw[k×n]  = xᵀ @ dpre`                   (weight gradient)
 ///
-/// where `dpre[r][j] = up[r][j] · act'(pre[r][j])` — but `dpre` is never
+/// where `dpre[r][j] = up[r][j] · dact[r][j]` — but `dpre` is never
 /// materialized as an `m×n` tensor. Instead a single row (`dpre_row`,
 /// caller-provided scratch of length `n`) is recomputed per input row and
 /// folded straight into the three accumulations. Each output is optional:
@@ -453,13 +461,12 @@ pub(crate) fn matmul_bias_act_into(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn linear_act_backward_into(
     up: &[f32],
-    pre: Option<&[f32]>,
-    act: crate::ops::Activation,
+    dact: Option<&[f32]>,
     x: &[f32],
     w: &[f32],
-    mut db: Option<&mut [f32]>,
-    mut dx: Option<&mut [f32]>,
-    mut dw: Option<&mut [f32]>,
+    db: Option<&mut [f32]>,
+    dx: Option<&mut [f32]>,
+    dw: Option<&mut [f32]>,
     dpre_row: &mut [f32],
     m: usize,
     k: usize,
@@ -478,57 +485,142 @@ pub(crate) fn linear_act_backward_into(
     if let Some(d) = dw.as_deref() {
         assert_eq!(d.len(), k * n, "weight gradient length");
     }
-    if let Some(p) = pre {
-        assert_eq!(p.len(), m * n, "pre-activation length");
+    if let Some(d) = dact {
+        assert_eq!(d.len(), m * n, "activation derivative length");
     }
     // wᵀ, row p = column p of w, so the dx sweep can run lane-parallel over
     // c.
     let wt = dx.is_some().then(|| {
         let mut wt = vec![0.0f32; n * k];
-        for c in 0..k {
-            for p in 0..n {
-                wt[p * k + c] = w[c * n + p];
-            }
-        }
+        transpose_into(w, &mut wt, k, n);
         wt
     });
-    for r in 0..m {
-        let up_row = &up[r * n..(r + 1) * n];
-        match pre {
-            Some(pre_all) => {
-                let pre_row = &pre_all[r * n..(r + 1) * n];
-                for ((d, &g), &p) in dpre_row.iter_mut().zip(up_row).zip(pre_row) {
-                    *d = g * act.grad(p);
+    let sweep = Sweep {
+        up,
+        dact,
+        x,
+        wt: wt.as_deref(),
+        db,
+        dx,
+        dw,
+        dpre_row,
+        k,
+        n,
+    };
+    if crate::simd::active() {
+        // SAFETY: runtime-verified AVX2 support; lengths asserted above.
+        unsafe { crate::simd::backward_sweep(sweep) }
+    } else {
+        backward_sweep(sweep);
+    }
+}
+
+/// `dst[cols×rows] = srcᵀ` for a row-major `src[rows×cols]`, SIMD-dispatched.
+/// It only moves values, so every body is bit-identical.
+fn transpose_into(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
+    assert_eq!(src.len(), rows * cols, "transpose source length");
+    assert_eq!(dst.len(), rows * cols, "transpose destination length");
+    if crate::simd::active() {
+        // SAFETY: runtime-verified AVX2 support; lengths asserted above.
+        unsafe { crate::simd::transpose(src, dst, rows, cols) }
+        return;
+    }
+    transpose_tail(src, dst, rows, cols, 0, 0);
+}
+
+/// The scalar transpose of every element outside the block
+/// `[0, row0) × [0, col0)`, which a caller has already moved.
+pub(crate) fn transpose_tail(
+    src: &[f32],
+    dst: &mut [f32],
+    rows: usize,
+    cols: usize,
+    row0: usize,
+    col0: usize,
+) {
+    for (i, src_row) in src.chunks_exact(cols.max(1)).enumerate() {
+        let first = if i < row0 { col0 } else { 0 };
+        for (j, &v) in src_row.iter().enumerate().skip(first) {
+            dst[j * rows + i] = v;
+        }
+    }
+}
+
+/// The operands of [`backward_sweep`], lengths already checked.
+pub(crate) struct Sweep<'a> {
+    up: &'a [f32],
+    dact: Option<&'a [f32]>,
+    x: &'a [f32],
+    wt: Option<&'a [f32]>,
+    db: Option<&'a mut [f32]>,
+    dx: Option<&'a mut [f32]>,
+    dw: Option<&'a mut [f32]>,
+    dpre_row: &'a mut [f32],
+    k: usize,
+    n: usize,
+}
+
+/// The row sweep of [`linear_act_backward_into`]. Inlined into both the
+/// plain build and the AVX2 build (`simd::backward_sweep`), so every
+/// slice loop below is a plain mul-then-add the compiler vectorizes at the
+/// width the caller was compiled for; the lanes run across elements, never
+/// along a reduction, so each element's sequence is the same at any width.
+#[inline(always)]
+pub(crate) fn backward_sweep(s: Sweep<'_>) {
+    let Sweep {
+        up,
+        dact,
+        x,
+        wt,
+        mut db,
+        mut dx,
+        mut dw,
+        dpre_row,
+        k,
+        n,
+    } = s;
+    for (r, up_row) in up.chunks_exact(n.max(1)).enumerate() {
+        match dact {
+            Some(dact_all) => {
+                let dact_row = &dact_all[r * n..(r + 1) * n];
+                for ((d, &g), &a) in dpre_row.iter_mut().zip(up_row).zip(dact_row) {
+                    *d = g * a;
                 }
             }
             None => dpre_row.copy_from_slice(up_row),
         }
         if let Some(db) = db.as_deref_mut() {
             // Lane-parallel over j: ascending-r order per element preserved.
-            add_assign_slices(db, dpre_row);
+            for (d, &g) in db.iter_mut().zip(dpre_row.iter()) {
+                *d += g;
+            }
         }
-        if let (Some(dx), Some(wt)) = (dx.as_deref_mut(), &wt) {
+        if let (Some(dx), Some(wt)) = (dx.as_deref_mut(), wt) {
             // Lane-parallel over c, never a horizontal reduction over p:
             // each p (ascending, zero dpre factors skipped) is one
             // mul-then-add axpy of wᵀ's row p, so every dx[r][c] adds its
             // terms in exactly the scalar dot product's order.
             let dx_row = &mut dx[r * k..(r + 1) * k];
-            for (p, &g) in dpre_row.iter().enumerate() {
+            for (&g, wt_row) in dpre_row.iter().zip(wt.chunks_exact(k.max(1))) {
                 if g != 0.0 {
-                    axpy_slices(dx_row, g, &wt[p * k..(p + 1) * k]);
+                    for (d, &v) in dx_row.iter_mut().zip(wt_row) {
+                        *d += g * v;
+                    }
                 }
             }
         }
         if let Some(dw) = dw.as_deref_mut() {
             let x_row = &x[r * k..(r + 1) * k];
-            for (c, &a) in x_row.iter().enumerate() {
+            for (&a, dw_row) in x_row.iter().zip(dw.chunks_exact_mut(n.max(1))) {
                 if a == 0.0 {
                     continue;
                 }
                 // Lane-parallel axpy over j: ascending-r order per element,
                 // with the xᵀ-as-lhs zero-skip handled on the broadcast
-                // factor above — identical to the scalar sweep.
-                axpy_slices(&mut dw[c * n..(c + 1) * n], a, dpre_row);
+                // factor above.
+                for (d, &g) in dw_row.iter_mut().zip(dpre_row.iter()) {
+                    *d += a * g;
+                }
             }
         }
     }
@@ -616,6 +708,51 @@ mod tests {
         }
     }
 
+    #[test]
+    fn every_band_height_matches_the_oracle_on_zeros_and_non_finite_rhs() {
+        // m in 1..=13 covers each 1–5-row remainder band alone and after one
+        // or two full 6-row bands; k crosses a K panel and n has a 16-wide
+        // strip, an 8-wide strip and a column tail. The lhs is zero-laden,
+        // so the branch-free tile runs at every band height whenever the rhs
+        // is all finite; one ±inf or NaN in the rhs makes `0·b` a NaN the
+        // zero-skip must drop.
+        let (k, n) = (70, 29);
+        let finite = pseudo_data(k * n, 17);
+        let mut cases = vec![("finite", finite.clone())];
+        for (name, bad) in [
+            ("+inf", f32::INFINITY),
+            ("-inf", f32::NEG_INFINITY),
+            ("NaN", f32::NAN),
+        ] {
+            let mut rhs = finite.clone();
+            rhs[5 * n + 3] = bad;
+            cases.push((name, rhs));
+        }
+        for m in 1..=13 {
+            let mut lhs = sparse_data(m * k, 19 + m as u64);
+            // Every row multiplies the non-finite rhs row 5 by an exact zero.
+            for row in lhs.chunks_exact_mut(k) {
+                row[5] = 0.0;
+            }
+            for (name, rhs) in &cases {
+                let expect = naive(&lhs, rhs, m, k, n);
+                for forced in [Some(false), Some(true)] {
+                    crate::simd::force(forced);
+                    let mut micro = vec![0.0f32; m * n];
+                    matmul_microkernel_into(&lhs, rhs, &mut micro, m, k, n);
+                    crate::simd::force(None);
+                    assert!(
+                        micro
+                            .iter()
+                            .zip(&expect)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "m = {m}, {name} rhs (forced {forced:?}) diverged"
+                    );
+                }
+            }
+        }
+    }
+
     proptest! {
         /// Scalar vs SIMD dispatch, machine-enforced: for arbitrary shapes —
         /// including non-multiple-of-8 column counts (tail lanes), widths
@@ -660,9 +797,9 @@ mod tests {
     }
 
     #[test]
-    fn simd_helpers_match_scalar_sweeps_bitwise() {
-        // add_assign / axpy across lengths covering the vector body and the
-        // scalar tail, under both forced dispatch modes.
+    fn simd_add_assign_matches_scalar_sweep_bitwise() {
+        // add_assign across lengths covering the vector body and the scalar
+        // tail, under both forced dispatch modes.
         for len in [1usize, 7, 8, 9, 16, 31, 64, 100] {
             let src = pseudo_data(len, 71);
             let base = pseudo_data(len, 73);
@@ -670,31 +807,46 @@ mod tests {
             for (d, &s) in expect_add.iter_mut().zip(&src) {
                 *d += s;
             }
-            let a = 0.37f32;
-            let mut expect_axpy = base.clone();
-            for (d, &s) in expect_axpy.iter_mut().zip(&src) {
-                *d += a * s;
-            }
             for forced in [Some(false), Some(true)] {
                 crate::simd::force(forced);
                 let mut add = base.clone();
                 add_assign_slices(&mut add, &src);
-                let mut axpy = base.clone();
-                axpy_slices(&mut axpy, a, &src);
                 assert!(
                     add.iter()
                         .zip(&expect_add)
                         .all(|(x, y)| x.to_bits() == y.to_bits()),
                     "add_assign diverged at len {len} (forced {forced:?})"
                 );
-                assert!(
-                    axpy.iter()
-                        .zip(&expect_axpy)
-                        .all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "axpy diverged at len {len} (forced {forced:?})"
-                );
             }
             crate::simd::force(None);
+        }
+    }
+
+    #[test]
+    fn simd_transpose_matches_the_scalar_loop() {
+        // 8×8 AVX2 blocks plus both scalar edges, under both dispatch modes.
+        for rows in 1..=19 {
+            for cols in 1..=19 {
+                let src = pseudo_data(rows * cols, (rows * 31 + cols) as u64);
+                let mut expect = vec![0.0f32; rows * cols];
+                for i in 0..rows {
+                    for j in 0..cols {
+                        expect[j * rows + i] = src[i * cols + j];
+                    }
+                }
+                for forced in [Some(false), Some(true)] {
+                    crate::simd::force(forced);
+                    let mut dst = vec![f32::NAN; rows * cols];
+                    transpose_into(&src, &mut dst, rows, cols);
+                    crate::simd::force(None);
+                    assert!(
+                        dst.iter()
+                            .zip(&expect)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{rows}x{cols} transpose diverged (forced {forced:?})"
+                    );
+                }
+            }
         }
     }
 
@@ -715,14 +867,14 @@ mod tests {
                 Activation::Tanh,
             ] {
                 let mut fused = vec![0.0f32; m * n];
-                let mut pre = vec![0.0f32; m * n];
+                let mut dact = vec![0.0f32; m * n];
                 matmul_bias_act_into(
                     &lhs,
                     &rhs,
                     Some(&bias),
                     act,
                     &mut fused,
-                    Some(&mut pre),
+                    Some(&mut dact),
                     m,
                     k,
                     n,
@@ -732,7 +884,11 @@ mod tests {
                     *v += bias[i % n];
                 }
                 for i in 0..m * n {
-                    assert_eq!(pre[i].to_bits(), composed[i].to_bits(), "pre diverged");
+                    assert_eq!(
+                        dact[i].to_bits(),
+                        act.grad(composed[i]).to_bits(),
+                        "saved derivative diverged for {act:?} (forced {forced:?})"
+                    );
                     assert_eq!(
                         fused[i].to_bits(),
                         act.apply(composed[i]).to_bits(),
@@ -754,14 +910,14 @@ mod tests {
         let rhs = pseudo_data(k * n, 37);
         let bias = pseudo_data(n, 41);
         let mut reference = vec![0.0f32; m * n];
-        let mut ref_pre = vec![0.0f32; m * n];
+        let mut ref_dact = vec![0.0f32; m * n];
         matmul_bias_act_into(
             &lhs,
             &rhs,
             Some(&bias),
             Activation::Gelu,
             &mut reference,
-            Some(&mut ref_pre),
+            Some(&mut ref_dact),
             m,
             k,
             n,
@@ -769,22 +925,22 @@ mod tests {
         for workers in [2, 5] {
             let rows_per = m.div_ceil(workers);
             let mut out = vec![0.0f32; m * n];
-            let mut pre = vec![0.0f32; m * n];
-            for ((block, chunk), pre_chunk) in out
+            let mut dact = vec![0.0f32; m * n];
+            for ((block, chunk), dact_chunk) in out
                 .chunks_mut(rows_per * n)
                 .enumerate()
-                .zip(pre.chunks_mut(rows_per * n))
+                .zip(dact.chunks_mut(rows_per * n))
             {
                 matmul_rows(&lhs, &rhs, chunk, block * rows_per, k, n);
-                epilogue_rows(chunk, Some(pre_chunk), Some(&bias), Activation::Gelu, n);
+                epilogue_rows(chunk, Some(dact_chunk), Some(&bias), Activation::Gelu, n);
             }
             assert!(
                 out.iter()
                     .zip(&reference)
                     .all(|(a, b)| a.to_bits() == b.to_bits())
-                    && pre
+                    && dact
                         .iter()
-                        .zip(&ref_pre)
+                        .zip(&ref_dact)
                         .all(|(a, b)| a.to_bits() == b.to_bits()),
                 "{workers}-way fused split diverged"
             );
@@ -888,14 +1044,15 @@ mod tests {
                 let x = sparse_data(m * k, 57);
                 let w = pseudo_data(k * n, 59);
                 let (db_ref, dx_ref, dw_ref) = composed_backward(&up, pre, act, &x, &w, m, k, n);
+                // The forward epilogue saves act'(pre) for the kernel.
+                let dact: Option<Vec<f32>> = pre.map(|p| p.iter().map(|&v| act.grad(v)).collect());
                 let mut db = vec![0.0f32; n];
                 let mut dx = vec![0.0f32; m * k];
                 let mut dw = vec![0.0f32; k * n];
                 let mut scratch = vec![0.0f32; n];
                 linear_act_backward_into(
                     &up,
-                    pre,
-                    act,
+                    dact.as_deref(),
                     &x,
                     &w,
                     Some(&mut db),

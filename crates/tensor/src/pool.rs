@@ -2,8 +2,9 @@
 //!
 //! Tensors own plain `Vec<f32>` storage: nothing is recycled, so a
 //! fine-tuning run holds no tensor memory once its tensors drop. [`stats`]
-//! counts the buffers the current thread's tensor constructors create,
-//! which keeps per-step allocation figures exact and deterministic.
+//! counts every buffer the current thread creates, through a tensor
+//! constructor or a `Tensor::clone`, which keeps per-step allocation figures
+//! exact and deterministic.
 
 use std::cell::Cell;
 
@@ -31,7 +32,7 @@ pub(crate) fn count_tensor_buffer() {
     let _ = TENSOR_BUFFERS.try_with(|c| c.set(c.get() + 1));
 }
 
-/// Tensor buffers the current thread's tensor constructors have created.
+/// Tensor buffers the current thread has created, by constructor or clone.
 pub fn stats() -> AllocStats {
     AllocStats {
         fresh_allocs: TENSOR_BUFFERS.try_with(Cell::get).unwrap_or(0),

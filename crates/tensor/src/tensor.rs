@@ -1,7 +1,7 @@
 //! Dense row-major `f32` tensors.
 //!
-//! Every tensor owns a plain `Vec<f32>`. The constructors count the buffers
-//! they create in [`crate::pool::stats`].
+//! Every tensor owns a plain `Vec<f32>`. The constructors and `Clone` count
+//! the buffers they create in [`crate::pool::stats`].
 
 use crate::pool;
 use crate::shape::Shape;
@@ -56,10 +56,21 @@ impl Error for TensorError {}
 /// assert_eq!(t.get2(1, 0), 3.0);
 /// assert_eq!(t.sum(), 10.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
+}
+
+/// A clone is a fresh buffer, so it is counted like one.
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        pool::count_tensor_buffer();
+        Tensor {
+            shape: self.shape.clone(),
+            data: self.data.clone(),
+        }
+    }
 }
 
 /// An empty buffer with room for `len` elements, counted in
