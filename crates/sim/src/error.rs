@@ -128,12 +128,6 @@ impl SimError {
         self.context.seq_len = Some(seq_len);
         self
     }
-
-    /// Attaches the offending batch size.
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.context.batch = Some(batch);
-        self
-    }
 }
 
 impl From<SimErrorKind> for SimError {
@@ -210,11 +204,11 @@ mod tests {
 
     #[test]
     fn context_renders_into_the_message() {
-        let err = SimError::new(SimErrorKind::ZeroBatch)
+        let mut err = SimError::new(SimErrorKind::ZeroBatch)
             .with_label("Mixtral-S/CS")
             .with_gpu("NVIDIA A40")
-            .with_seq_len(79)
-            .with_batch(0);
+            .with_seq_len(79);
+        err.context.batch = Some(0);
         let msg = err.to_string();
         assert!(msg.contains("config Mixtral-S/CS"), "{msg}");
         assert!(msg.contains("gpu NVIDIA A40"), "{msg}");

@@ -5,9 +5,9 @@
 //! training step, prices it on a [`ftsim_gpu::CostModel`], and derives every
 //! runtime quantity the paper characterizes — execution-time breakdowns
 //! (Figs. 4–6), throughput (Fig. 8), SM/DRAM utilization (Figs. 9–10),
-//! expert load imbalance (Fig. 11), and the sequence-length sensitivity
-//! study (§IV-B6). It also hosts the *real* (CPU-scale, genuinely trained)
-//! MoE models behind the trainability study (Fig. 3).
+//! and the sequence-length sensitivity study (§IV-B6). It also hosts the
+//! *real* (CPU-scale, genuinely trained) MoE models behind the trainability
+//! study (Fig. 3) and the expert load-imbalance study (Fig. 11).
 //!
 //! ```
 //! use ftsim_gpu::{CostModel, GpuSpec};
@@ -28,10 +28,8 @@
 pub mod ablation;
 pub mod engine;
 pub mod error;
-pub mod learning;
 pub mod moetrain;
 pub mod report;
-pub mod routing;
 pub mod sensitivity;
 pub mod step;
 pub mod throughput;
@@ -40,9 +38,7 @@ pub mod trace;
 pub use ablation::{Ablation, AblationArm};
 pub use engine::{parallel_map, parallel_map_with, thread_count};
 pub use error::{SimContext, SimError, SimErrorKind};
-pub use learning::{LearningCurve, TrainabilityMatrix};
-pub use moetrain::{MoeTrainConfig, MoeTrainOutcome};
-pub use routing::{RouterDrift, TokenDistribution};
+pub use moetrain::{MoeTrainConfig, MoeTrainOutcome, TokenDistribution};
 pub use sensitivity::{SensitivityPoint, SensitivityStudy};
 pub use step::{CacheStats, StepSimulator};
 pub use throughput::{ThroughputPoint, ThroughputSweep};

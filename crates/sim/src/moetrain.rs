@@ -1,5 +1,5 @@
-//! Genuinely-trained CPU-scale MoE models (the emergent counterpart of the
-//! paper's Fig. 3 trainability study and Fig. 11 load-imbalance study).
+//! Genuinely-trained CPU-scale MoE models: the only model of the paper's
+//! Fig. 3 trainability study and Fig. 11 load-imbalance study.
 //!
 //! A small classifier — input projection, one mixture-of-experts layer with
 //! top-k softmax gating, classification head — is trained with real AdamW
@@ -8,7 +8,6 @@
 //! routing-distribution drift all emerge from optimization, at a scale a
 //! laptop CPU handles in milliseconds.
 
-use crate::routing::TokenDistribution;
 use ftsim_tensor::nn::{AdamW, ExpertKind, Linear, MoeLayer, RoutingStats};
 use ftsim_tensor::{autograd, ops, Activation, Tensor, Var};
 use ftsim_workload::task::{SyntheticTask, TaskSample};
@@ -126,9 +125,51 @@ impl MoeTrainOutcome {
     }
 
     /// Change in routing-imbalance variance caused by fine-tuning
-    /// (the Fig. 11 metric, measured rather than calibrated).
+    /// (the Fig. 11 metric).
     pub fn imbalance_delta(&self) -> f64 {
         self.routing_after.variance() - self.routing_before.variance()
+    }
+}
+
+/// A percentage distribution of token assignments over experts
+/// (sums to 100).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct TokenDistribution {
+    /// Percent of (token, expert) assignments routed to each expert.
+    pub pct: Vec<f64>,
+}
+
+impl TokenDistribution {
+    /// Builds a distribution from raw per-expert counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `counts` is empty or all zero.
+    pub fn from_counts(counts: &[usize]) -> Self {
+        assert!(!counts.is_empty(), "need at least one expert");
+        let total: usize = counts.iter().sum();
+        assert!(total > 0, "need at least one routed token");
+        TokenDistribution {
+            pct: counts
+                .iter()
+                .map(|&c| 100.0 * c as f64 / total as f64)
+                .collect(),
+        }
+    }
+
+    /// Variance of the percentage values — the paper's imbalance metric.
+    pub fn variance(&self) -> f64 {
+        ops::variance(&self.pct)
+    }
+
+    /// Index of the most-used expert.
+    pub fn dominant_expert(&self) -> usize {
+        self.pct
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.partial_cmp(b.1).expect("percentages are finite"))
+            .map(|(i, _)| i)
+            .expect("non-empty")
     }
 }
 
@@ -489,6 +530,19 @@ mod tests {
         cfg.eval_examples = 128;
         cfg.epochs = 6;
         cfg
+    }
+
+    #[test]
+    fn from_counts_normalizes() {
+        let d = TokenDistribution::from_counts(&[1, 1, 2]);
+        assert!((d.pct.iter().sum::<f64>() - 100.0).abs() < 1e-9);
+        assert_eq!(d.dominant_expert(), 2);
+    }
+
+    #[test]
+    fn uniform_distribution_has_zero_variance() {
+        let d = TokenDistribution::from_counts(&[5, 5, 5, 5]);
+        assert!(d.variance() < 1e-9);
     }
 
     #[test]

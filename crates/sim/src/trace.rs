@@ -242,11 +242,6 @@ impl StepTrace {
         )
     }
 
-    /// Total FLOPs executed in the step.
-    pub fn total_flops(&self) -> f64 {
-        self.records().map(|r| r.desc.flops).sum()
-    }
-
     /// Seconds spent in `stage`.
     pub fn stage_seconds(&self, stage: Stage) -> f64 {
         self.records()

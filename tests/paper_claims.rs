@@ -3,7 +3,7 @@
 use ftsim::gpu::{CostModel, GpuSpec};
 use ftsim::model::{presets, FineTuneConfig, MemoryModel, Sparsity};
 use ftsim::sim::moetrain::{train, MoeTrainConfig};
-use ftsim::sim::{StepSimulator, ThroughputSweep, TrainabilityMatrix};
+use ftsim::sim::{StepSimulator, ThroughputSweep};
 use ftsim::workload::SyntheticTask;
 
 fn a40_sim(model: ftsim::model::ModelConfig, ft: FineTuneConfig) -> StepSimulator {
@@ -30,17 +30,23 @@ fn takeaway1_sparse_trains_as_well_as_dense() {
     );
 }
 
-/// Takeaway 2: fine-tuning reaches peak accuracy within ten epochs.
+/// Takeaway 2: fine-tuning reaches peak accuracy within ten epochs —
+/// here the trained CS-task model is within 0.02 of its 10-epoch peak by
+/// epoch 5. (The MATH task is still rising at epoch 10; see EXPERIMENTS.md.)
 #[test]
 fn takeaway2_ten_epochs_suffice() {
-    for curve in &TrainabilityMatrix::fig3().curves {
-        assert!(curve.convergence_epoch(0.02) <= 10, "{}", curve.label);
-    }
-    // And in the genuinely trained model:
     let task = SyntheticTask::commonsense(16, 4, 7);
     let out = train(&task, &MoeTrainConfig::mixtral_like(2), "t2");
+    assert_eq!(out.curve.len(), 10);
     let best = out.peak_accuracy();
-    assert!(out.curve.iter().any(|m| m.eval_accuracy >= best - 0.02));
+    let by_epoch5 = out.curve[..5]
+        .iter()
+        .map(|m| m.eval_accuracy)
+        .fold(f64::NEG_INFINITY, f64::max);
+    assert!(
+        by_epoch5 >= best - 0.02,
+        "best of epochs 1-5 {by_epoch5:.3} vs 10-epoch peak {best:.3}"
+    );
 }
 
 /// Takeaway 3: MoE matmuls dominate end-to-end execution time.
@@ -138,20 +144,29 @@ fn takeaway5_memory_to_compute_bound() {
 }
 
 /// Takeaway 6: fine-tuning's effect on expert load imbalance is model- and
-/// dataset-dependent; the paper's published variances are reproduced.
+/// dataset-dependent — measured on `repro fig11`'s grid of two trained
+/// models × two tasks (the paper's published variances are data in
+/// `results/fig11.json`).
 #[test]
 fn takeaway6_load_imbalance_is_config_dependent() {
-    let cases = ftsim::sim::routing::paper_cases();
-    // Mixtral grows more imbalanced on both datasets.
-    assert!(cases[0].variance_delta() > 40.0);
-    assert!(cases[1].variance_delta() > 40.0);
-    // BlackMamba CS becomes more balanced; GS is nearly unchanged.
-    assert!(cases[2].variance_delta() < -40.0);
-    assert!(cases[3].variance_delta().abs() < 10.0);
-    // And the trained-router drift is nonzero in the real model.
-    let task = SyntheticTask::commonsense(16, 4, 42);
-    let out = train(&task, &MoeTrainConfig::mixtral_like(2), "t6");
-    assert!(out.imbalance_delta().abs() > 1.0);
+    let cs = SyntheticTask::commonsense(16, 4, 42);
+    let math = SyntheticTask::math(16, 4, 42);
+    let mut deltas = Vec::new();
+    for cfg in [
+        MoeTrainConfig::mixtral_like(2),
+        MoeTrainConfig::blackmamba_like(2),
+    ] {
+        for task in [&cs, &math] {
+            deltas.push(train(task, &cfg, "t6").imbalance_delta());
+        }
+    }
+    // Fine-tuning moves every router...
+    assert!(deltas.iter().all(|d| d.abs() > 1.0), "{deltas:?}");
+    // ...but not all in one direction.
+    assert!(
+        deltas.iter().any(|&d| d > 0.0) && deltas.iter().any(|&d| d < 0.0),
+        "{deltas:?}"
+    );
 }
 
 /// Fig. 4 structure: optimizer dominates BlackMamba small-batch steps but is
