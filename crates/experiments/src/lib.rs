@@ -15,6 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde_json::{json, Value};
 use std::fmt::Write as _;
+use std::path::Path;
 
 pub mod cli;
 
@@ -102,6 +103,81 @@ pub fn run(id: &str) -> ExperimentResult {
         "profile" => profile(),
         other => panic!("unknown experiment id {other:?}"),
     }
+}
+
+/// Writes each result's artifacts into `out_dir`, then prints its report
+/// (title, text and the path of every file written) to `out`, in input
+/// order. Files come first, so a reader that stops early never costs an
+/// artifact: once `out` fails, printing stops and the remaining files are
+/// still written. Returns the process exit code: 0, or 1 when `out` failed
+/// with anything but a broken pipe. A write or serialization failure of one
+/// artifact is a warning on stderr.
+pub fn write_results(
+    results: &[ExperimentResult],
+    out_dir: &Path,
+    out: &mut impl std::io::Write,
+) -> i32 {
+    let mut printed = Ok(());
+    for result in results {
+        let report = write_artifacts(result, out_dir);
+        if printed.is_ok() {
+            printed = out.write_all(report.as_bytes());
+        }
+    }
+    match printed.and_then(|()| out.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            eprintln!("warning: cannot print the report: {e}");
+            1
+        }
+        _ => 0,
+    }
+}
+
+/// Writes `result`'s files into `out_dir` and returns its report text.
+///
+/// Extra named artifacts (e.g. the profile's Chrome trace) become their own
+/// files, and are stripped from the main `{id}.json` so the (potentially
+/// multi-megabyte) documents are not duplicated.
+fn write_artifacts(result: &ExperimentResult, out_dir: &Path) -> String {
+    let mut report = format!("== {} ==\n{}\n", result.title, result.text);
+    let mut doc = result.json.clone();
+    if let Value::Object(entries) = &mut doc {
+        entries.retain(|(k, _)| k != ARTIFACTS_KEY);
+    }
+    if let Some(Value::Object(artifacts)) = result.json.get(ARTIFACTS_KEY) {
+        for (name, value) in artifacts {
+            let path = out_dir.join(name);
+            // A string artifact is pre-rendered (raw file body); anything
+            // else is serialized as pretty JSON.
+            let body = match value {
+                Value::String(s) => s.clone(),
+                other => match serde_json::to_string_pretty(other) {
+                    Ok(body) => body,
+                    Err(e) => {
+                        eprintln!("warning: cannot serialize {name}: {e}");
+                        continue;
+                    }
+                },
+            };
+            if let Err(e) = std::fs::write(&path, body) {
+                eprintln!("warning: cannot write {}: {e}", path.display());
+            } else {
+                let _ = writeln!(report, "[artifact: {}]", path.display());
+            }
+        }
+    }
+    let path = out_dir.join(format!("{}.json", result.id));
+    match serde_json::to_string_pretty(&doc) {
+        Ok(body) => {
+            if let Err(e) = std::fs::write(&path, body) {
+                eprintln!("warning: cannot write {}: {e}", path.display());
+            } else {
+                let _ = writeln!(report, "[artifact: {}]\n", path.display());
+            }
+        }
+        Err(e) => eprintln!("warning: cannot serialize {}: {e}", result.id),
+    }
+    report
 }
 
 fn a40() -> CostModel {
@@ -1498,6 +1574,70 @@ mod tests {
     #[should_panic(expected = "unknown experiment id")]
     fn unknown_id_panics() {
         run("fig99");
+    }
+
+    /// A stdout whose reader is gone, or that fails some other way.
+    struct FailingOut(std::io::ErrorKind);
+
+    impl std::io::Write for FailingOut {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(self.0.into())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(self.0.into())
+        }
+    }
+
+    #[test]
+    fn a_closed_stdout_drops_no_artifact() {
+        // `cluster` carries a JSON and a pre-rendered extra artifact.
+        let results = [run("table1"), run("cluster")];
+        let root = std::env::temp_dir().join(format!("repro-report-{}", std::process::id()));
+        let files = |dir: &Path| {
+            let mut names: Vec<_> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+
+        let open_dir = root.join("open");
+        std::fs::create_dir_all(&open_dir).unwrap();
+        let mut printed = Vec::new();
+        assert_eq!(write_results(&results, &open_dir, &mut printed), 0);
+        let printed = String::from_utf8(printed).unwrap();
+        assert_eq!(
+            files(&open_dir),
+            [
+                "cluster.json",
+                "cluster_costs.json",
+                "cluster_metrics.json",
+                "table1.json"
+            ]
+        );
+        for name in files(&open_dir) {
+            let line = format!("[artifact: {}]", open_dir.join(&name).display());
+            assert!(printed.contains(&line), "{name} not reported");
+        }
+
+        for (kind, code) in [
+            (std::io::ErrorKind::BrokenPipe, 0),
+            (std::io::ErrorKind::Other, 1),
+        ] {
+            let dir = root.join(format!("{kind:?}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            assert_eq!(write_results(&results, &dir, &mut FailingOut(kind)), code);
+            assert_eq!(files(&dir), files(&open_dir), "{kind:?}");
+            for name in files(&dir) {
+                assert_eq!(
+                    std::fs::read(dir.join(&name)).unwrap(),
+                    std::fs::read(open_dir.join(&name)).unwrap(),
+                    "{kind:?}: {name}"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     /// Unwraps an array value.

@@ -14,9 +14,8 @@
 //! order, byte-identical to a serial run.
 
 use ftsim_experiments::cli::{self, Command};
-use ftsim_experiments::{run, ARTIFACTS_KEY};
+use ftsim_experiments::{run, write_results};
 use ftsim_sim::parallel_map;
-use serde_json::Value;
 use std::path::Path;
 
 fn main() {
@@ -97,52 +96,5 @@ fn run_experiments(ids: &[String], out_dir: &str) -> i32 {
 
     // Run the experiments in parallel, then report serially in input order.
     let results = parallel_map(ids, |id| run(id));
-
-    for result in &results {
-        println!("== {} ==", result.title);
-        println!("{}", result.text);
-
-        // Extra named artifacts (e.g. the profile's Chrome trace) become
-        // their own files, and are stripped from the main `{id}.json` so the
-        // (potentially multi-megabyte) documents are not duplicated.
-        let mut doc = result.json.clone();
-        if let Value::Object(entries) = &mut doc {
-            entries.retain(|(k, _)| k != ARTIFACTS_KEY);
-        }
-        if let Some(Value::Object(artifacts)) = result.json.get(ARTIFACTS_KEY) {
-            for (name, value) in artifacts {
-                let path = Path::new(out_dir).join(name);
-                // A string artifact is pre-rendered (raw file body); anything
-                // else is serialized as pretty JSON.
-                let body = match value {
-                    Value::String(s) => s.clone(),
-                    other => match serde_json::to_string_pretty(other) {
-                        Ok(body) => body,
-                        Err(e) => {
-                            eprintln!("warning: cannot serialize {name}: {e}");
-                            continue;
-                        }
-                    },
-                };
-                if let Err(e) = std::fs::write(&path, body) {
-                    eprintln!("warning: cannot write {}: {e}", path.display());
-                } else {
-                    println!("[artifact: {}]", path.display());
-                }
-            }
-        }
-
-        let path = Path::new(out_dir).join(format!("{}.json", result.id));
-        match serde_json::to_string_pretty(&doc) {
-            Ok(body) => {
-                if let Err(e) = std::fs::write(&path, body) {
-                    eprintln!("warning: cannot write {}: {e}", path.display());
-                } else {
-                    println!("[artifact: {}]\n", path.display());
-                }
-            }
-            Err(e) => eprintln!("warning: cannot serialize {}: {e}", result.id),
-        }
-    }
-    0
+    write_results(&results, Path::new(out_dir), &mut std::io::stdout().lock())
 }

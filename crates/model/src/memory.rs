@@ -13,8 +13,6 @@ pub enum Dtype {
     F32,
     /// bfloat16.
     Bf16,
-    /// 4-bit NormalFloat with fp32 block scales (block 64).
-    Nf4,
     /// NF4 with double-quantized scales — QLoRA's storage format. The paper's
     /// Table I "23.35 GB" for Mixtral equals params × 0.5 B, i.e. scale
     /// overhead amortized away by double quantization.
@@ -27,7 +25,6 @@ impl Dtype {
         match self {
             Dtype::F32 => 4.0,
             Dtype::Bf16 => 2.0,
-            Dtype::Nf4 => 0.5625, // 0.5 + 4-byte fp32 scale per 64 elements
             Dtype::Nf4DoubleQuant => 0.5,
         }
     }

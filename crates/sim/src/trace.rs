@@ -154,8 +154,10 @@ impl StepTrace {
         }
     }
 
-    /// Builds a trace from a flat record list (single segment, repeat 1).
-    pub fn from_records(
+    /// Builds a trace from a flat record list (single segment, repeat 1):
+    /// the form the test oracles emit.
+    #[cfg(test)]
+    pub(crate) fn from_records(
         records: Vec<KernelRecord>,
         batch: usize,
         seq_len: usize,

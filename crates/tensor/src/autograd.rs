@@ -177,11 +177,6 @@ impl Var {
         self.node.borrow().requires_grad
     }
 
-    /// Clears the accumulated gradient.
-    pub fn zero_grad(&self) {
-        self.node.borrow_mut().grad = None;
-    }
-
     /// Removes and returns the accumulated gradient, leaving `None` behind.
     ///
     /// This is the hand-off point of the data-parallel training step: a
@@ -640,13 +635,10 @@ impl Var {
     /// value, `act'(pre)`, for the backward pass (only when the node records
     /// one and the activation is not `Identity`).
     ///
-    /// The backward pass is fused too: at training-step scale it streams
-    /// `up ⊙ act'(pre)` row by row into the `d bias` / `d self` / `d weight`
-    /// sweeps (see `parallel::linear_act_backward_into`), so the intermediate
-    /// `dpre = up ⊙ act'(pre)` tensor — and the operand transposes the
-    /// materialized path needs — are never built. Above the parallel-matmul
-    /// threshold it falls back to the materialized path, whose row-
-    /// partitioned matmuls win at those shapes; the two are bit-identical.
+    /// The backward pass is fused too: it streams `up ⊙ act'(pre)` row by
+    /// row into the `d bias` / `d self` / `d weight` sweeps (see
+    /// `parallel::linear_act_backward_into`), so the intermediate
+    /// `dpre = up ⊙ act'(pre)` tensor and the `selfᵀ` copy are never built.
     ///
     /// Bit-identical — values and accumulated gradients — to the composed
     /// chain `self.matmul(weight)?.add_row(bias)?.activate(act)`: the kernel
@@ -706,7 +698,7 @@ impl Var {
         crate::parallel::matmul_bias_act_into(
             xv.data(),
             wv.data(),
-            Some(bv.data()),
+            bv.data(),
             act,
             value.data_mut(),
             dact.as_mut().map(Tensor::data_mut),
@@ -727,14 +719,7 @@ impl Var {
             requires_grad: true,
             parents: vec![self.clone(), weight.clone(), bias.clone()],
             backward: Some(Box::new(move |up| {
-                let (m, n) = up.shape().as_matrix().expect("matrix");
-                let k = x2.with_value(|xv| xv.shape().as_matrix().expect("matrix").1);
-                let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
-                if flops < crate::parallel::PARALLEL_FLOP_THRESHOLD {
-                    linear_act_backward_streaming(&x2, &w2, &b2, dact.as_ref(), up);
-                } else {
-                    linear_act_backward_materialized(&x2, &w2, &b2, dact.as_ref(), up);
-                }
+                linear_act_backward(&x2, &w2, &b2, dact.as_ref(), up);
             })),
         }))
     }
@@ -917,12 +902,10 @@ fn gather(x: &Tensor, rows: &[usize]) -> Tensor {
     out
 }
 
-/// The streaming fused backward path for [`Var::linear_act`]: folds the
-/// saved `act'(pre)` into the `d bias` / `d self` / `d weight` sweeps
-/// without materializing `dpre` or the operand transposes. Serial — used
-/// below the parallel threshold, where it wins by skipping four full-tensor
-/// temporaries.
-fn linear_act_backward_streaming(x2: &Var, w2: &Var, b2: &Var, dact: Option<&Tensor>, up: &Tensor) {
+/// The fused backward of [`Var::linear_act`]: folds the saved `act'(pre)`
+/// into the `d bias` / `d self` / `d weight` sweeps without materializing
+/// `dpre`.
+fn linear_act_backward(x2: &Var, w2: &Var, b2: &Var, dact: Option<&Tensor>, up: &Tensor) {
     let (db, dx, dw) = x2.with_value(|xv| {
         w2.with_value(|wv| {
             let (m, k) = xv.shape().as_matrix().expect("matrix");
@@ -965,58 +948,6 @@ fn linear_act_backward_streaming(x2: &Var, w2: &Var, b2: &Var, dact: Option<&Ten
     }
 }
 
-/// The materialized fused backward path for [`Var::linear_act`]: builds
-/// `dpre = up ⊙ act'(pre)` from the saved derivative and runs the two
-/// gradient matmuls through the
-/// (row-partitionable) microkernel. Bit-identical to the streaming path —
-/// both accumulate each gradient element in the same order — and preferred
-/// above the parallel threshold where threaded matmuls dominate.
-fn linear_act_backward_materialized(
-    x2: &Var,
-    w2: &Var,
-    b2: &Var,
-    dact: Option<&Tensor>,
-    up: &Tensor,
-) {
-    // dpre = up ⊙ act'(pre); for Identity, up itself.
-    let owned;
-    let dpre: &Tensor = match dact {
-        Some(dact_t) => {
-            owned = up
-                .zip(dact_t, "linear_act", |g, d| g * d)
-                .expect("same shape");
-            &owned
-        }
-        None => up,
-    };
-    let (m, n) = dpre.shape().as_matrix().expect("matrix");
-    if b2.requires_grad() {
-        let mut db = Tensor::zeros(Shape::matrix(1, n));
-        for r in 0..m {
-            for c in 0..n {
-                db.set2(0, c, db.get2(0, c) + dpre.get2(r, c));
-            }
-        }
-        b2.accumulate_grad(&db);
-    }
-    if x2.requires_grad() {
-        let dx = w2.with_value(|wv| {
-            dpre.matmul(&wv.transpose().expect("matrix"))
-                .expect("conforming")
-        });
-        x2.accumulate_grad(&dx);
-    }
-    if w2.requires_grad() {
-        let dw = x2.with_value(|xv| {
-            xv.transpose()
-                .expect("matrix")
-                .matmul(dpre)
-                .expect("conforming")
-        });
-        w2.accumulate_grad(&dw);
-    }
-}
-
 thread_local! {
     /// The step-scoped tape reused by every [`Var::backward`] on this thread.
     static STEP_TAPE: RefCell<Tape> = RefCell::new(Tape::new());
@@ -1042,12 +973,6 @@ impl Tape {
     /// An empty tape.
     pub fn new() -> Self {
         Tape::default()
-    }
-
-    /// Workspace capacity currently retained (graph nodes the tape can order
-    /// without growing) — observable evidence of cross-step reuse.
-    pub fn retained_capacity(&self) -> usize {
-        self.order.capacity()
     }
 
     /// Runs reverse-mode differentiation from `root`, reusing this tape's
@@ -1337,40 +1262,50 @@ mod tests {
     #[test]
     fn linear_act_bit_identical_to_composed_chain() {
         let mut rng = StdRng::seed_from_u64(17);
-        for act in [
-            Activation::Identity,
-            Activation::Relu,
-            Activation::Gelu,
-            Activation::Silu,
-            Activation::Tanh,
-        ] {
-            let xt = Tensor::rand_uniform([5, 4], 1.0, &mut rng);
-            let wt = Tensor::rand_uniform([4, 3], 1.0, &mut rng);
-            let bt = Tensor::rand_uniform([1, 3], 1.0, &mut rng);
+        // 96×96 · 96×64 is 2^20 + 2^17 flops, past the training shapes,
+        // with K crossing the 64-wide panel and N spanning eight strips.
+        for (m, k, n) in [(5, 4, 3), (96, 96, 64)] {
+            for act in [
+                Activation::Identity,
+                Activation::Relu,
+                Activation::Gelu,
+                Activation::Silu,
+                Activation::Tanh,
+            ] {
+                let xt = Tensor::rand_uniform([m, k], 1.0, &mut rng);
+                let wt = Tensor::rand_uniform([k, n], 1.0, &mut rng);
+                let bt = Tensor::rand_uniform([1, n], 1.0, &mut rng);
 
-            let (x1, w1, b1) = (
-                Var::constant(xt.clone()),
-                Var::parameter(wt.clone()),
-                Var::parameter(bt.clone()),
-            );
-            let fused = x1.linear_act(&w1, &b1, act).unwrap();
-            fused.mean().backward();
+                let (x1, w1, b1) = (
+                    Var::parameter(xt.clone()),
+                    Var::parameter(wt.clone()),
+                    Var::parameter(bt.clone()),
+                );
+                let fused = x1.linear_act(&w1, &b1, act).unwrap();
+                fused.mean().backward();
 
-            let (x2, w2, b2) = (Var::constant(xt), Var::parameter(wt), Var::parameter(bt));
-            let naive = composed_linear(&x2, &w2, &b2, act);
-            naive.mean().backward();
+                let (x2, w2, b2) = (Var::parameter(xt), Var::parameter(wt), Var::parameter(bt));
+                let naive = composed_linear(&x2, &w2, &b2, act);
+                naive.mean().backward();
 
-            assert_eq!(fused.value(), naive.value(), "{act:?} values diverged");
-            assert_eq!(
-                w1.grad().unwrap(),
-                w2.grad().unwrap(),
-                "{act:?} weight grads diverged"
-            );
-            assert_eq!(
-                b1.grad().unwrap(),
-                b2.grad().unwrap(),
-                "{act:?} bias grads diverged"
-            );
+                let case = format!("{act:?} at {m}x{k}x{n}");
+                assert_eq!(fused.value(), naive.value(), "{case}: values diverged");
+                assert_eq!(
+                    x1.grad().unwrap(),
+                    x2.grad().unwrap(),
+                    "{case}: input grads diverged"
+                );
+                assert_eq!(
+                    w1.grad().unwrap(),
+                    w2.grad().unwrap(),
+                    "{case}: weight grads diverged"
+                );
+                assert_eq!(
+                    b1.grad().unwrap(),
+                    b2.grad().unwrap(),
+                    "{case}: bias grads diverged"
+                );
+            }
         }
     }
 
@@ -1421,10 +1356,9 @@ mod tests {
         for _ in 0..3 {
             let loss = w.mul(&w).unwrap().mean();
             tape.backward(&loss);
-            grads.push(w.grad().unwrap());
-            w.zero_grad();
+            grads.push(w.take_grad().unwrap());
         }
-        assert!(tape.retained_capacity() > 0, "workspace was not retained");
+        assert!(tape.order.capacity() > 0, "workspace was not retained");
         assert_eq!(grads[0], grads[1]);
         assert_eq!(grads[1], grads[2]);
     }
@@ -1523,25 +1457,16 @@ mod tests {
         assert!(grad_enabled(), "an unwinding scope must restore recording");
     }
 
-    #[test]
-    fn zero_grad_clears() {
-        let w = Var::parameter(Tensor::scalar(3.0));
-        let loss = w.mul(&w).unwrap().mean();
-        loss.backward();
-        assert!(w.grad().is_some());
-        w.zero_grad();
-        assert!(w.grad().is_none());
-    }
-
     proptest! {
         /// Satellite coverage for the fused backward epilogue: across all
-        /// activation kinds and non-square shapes, the fused node's value
-        /// and every gradient (input, weight, bias) are bit-identical to
-        /// the composed matmul → add_row → activate chain.
+        /// activation kinds and non-square shapes (`k` crossing the 64-wide
+        /// K panel), the fused node's value and every gradient (input,
+        /// weight, bias) are bit-identical to the composed matmul → add_row
+        /// → activate chain.
         #[test]
         fn prop_linear_act_grads_bit_identical_to_composed(
             m in 1usize..7,
-            k in 1usize..9,
+            k in 1usize..80,
             n in 1usize..6,
             act_idx in 0usize..5,
             seed in 0u64..200,

@@ -1,15 +1,13 @@
 //! # ftsim-tensor
 //!
 //! A small, dependency-light CPU tensor library with reverse-mode automatic
-//! differentiation, neural-network building blocks, and 4-bit block
-//! quantization.
+//! differentiation and neural-network building blocks.
 //!
 //! This crate is the numerical substrate for the `ftsim` workspace, which
 //! reproduces *"Understanding the Performance and Estimating the Cost of LLM
 //! Fine-Tuning"* (IISWC 2024). It powers the genuinely-trained
 //! mixture-of-experts models used for the trainability (Fig. 3) and expert
-//! load-imbalance (Fig. 11) experiments, and provides the NF4-style
-//! quantizer that backs the QLoRA memory accounting in `ftsim-model`.
+//! load-imbalance (Fig. 11) experiments.
 //!
 //! ## Quick example
 //!
@@ -31,7 +29,6 @@ pub mod nn;
 pub mod ops;
 pub mod parallel;
 pub mod pool;
-pub mod quant;
 pub mod shape;
 pub mod simd;
 pub mod tensor;
@@ -39,7 +36,6 @@ pub mod tensor;
 pub use autograd::Var;
 pub use ops::Activation;
 pub use pool::AllocStats;
-pub use quant::{QuantError, Quantized4Bit};
 pub use shape::Shape;
 pub use tensor::{Tensor, TensorError};
 

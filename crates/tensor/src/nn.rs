@@ -1,6 +1,6 @@
 //! Neural-network building blocks on top of the autograd engine: linear
-//! layers, mixture-of-experts layers with top-k gating, and optimizers
-//! (SGD / AdamW).
+//! layers, mixture-of-experts layers with top-k gating, and the AdamW
+//! optimizer.
 //!
 //! These power the *real* (CPU-scale) MoE fine-tuning experiments in
 //! `ftsim-sim::moetrain` — the sparse-vs-dense trainability study (paper
@@ -91,11 +91,6 @@ impl Linear {
     /// The trainable parameters of this layer.
     pub fn parameters(&self) -> Vec<Var> {
         vec![self.weight.clone(), self.bias.clone()]
-    }
-
-    /// Number of scalar parameters.
-    pub fn param_count(&self) -> usize {
-        self.weight.with_value(Tensor::numel) + self.bias.with_value(Tensor::numel)
     }
 }
 
@@ -250,15 +245,6 @@ pub struct RoutingStats {
     /// `tokens_per_expert[e]` = number of (token, expert) assignments sent to
     /// expert `e` during the pass.
     pub tokens_per_expert: Vec<usize>,
-}
-
-impl RoutingStats {
-    /// Population variance of the per-expert token counts — the imbalance
-    /// metric of the paper's Fig. 11.
-    pub fn imbalance_variance(&self) -> f64 {
-        let counts: Vec<f64> = self.tokens_per_expert.iter().map(|&c| c as f64).collect();
-        ops::variance(&counts)
-    }
 }
 
 /// A mixture-of-experts layer with top-k softmax gating, implementing the
@@ -444,38 +430,6 @@ impl MoeLayer {
     }
 }
 
-/// Stochastic gradient descent with optional weight decay.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Decoupled weight-decay coefficient.
-    pub weight_decay: f32,
-}
-
-impl Sgd {
-    /// Plain SGD with the given learning rate.
-    pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            weight_decay: 0.0,
-        }
-    }
-
-    /// Applies one update step to every parameter with a gradient, then
-    /// clears the gradients.
-    pub fn step(&self, params: &[Var]) {
-        let (lr, wd) = (self.lr, self.weight_decay);
-        for p in params {
-            p.update_with_grad(|v, g| {
-                for (vi, gi) in v.data_mut().iter_mut().zip(g.data()) {
-                    *vi -= lr * (gi + wd * *vi);
-                }
-            });
-        }
-    }
-}
-
 /// AdamW optimizer (decoupled weight decay), the optimizer used for the
 /// paper's fine-tuning runs.
 #[derive(Debug)]
@@ -569,7 +523,12 @@ mod tests {
         let x = Var::constant(Tensor::zeros([2, 4]));
         let y = l.forward(&x).unwrap();
         assert_eq!(y.shape().dims(), &[2, 3]);
-        assert_eq!(l.param_count(), 4 * 3 + 3);
+        let params: usize = l
+            .parameters()
+            .iter()
+            .map(|p| p.with_value(Tensor::numel))
+            .sum();
+        assert_eq!(params, 4 * 3 + 3);
     }
 
     #[test]
@@ -609,7 +568,6 @@ mod tests {
         let x = Var::constant(Tensor::rand_uniform([7, 4], 1.0, &mut rng));
         let (_, stats) = moe.forward(&x).unwrap();
         assert!(stats.tokens_per_expert.iter().all(|&c| c == 7));
-        assert_eq!(stats.imbalance_variance(), 0.0);
     }
 
     #[test]
@@ -727,18 +685,6 @@ mod tests {
             starved_batches > 0,
             "no batch left an expert without a token"
         );
-    }
-
-    #[test]
-    fn sgd_descends_quadratic() {
-        let w = Var::parameter(Tensor::scalar(5.0));
-        let opt = Sgd::new(0.1);
-        for _ in 0..100 {
-            let loss = w.mul(&w).unwrap().mean();
-            loss.backward();
-            opt.step(std::slice::from_ref(&w));
-        }
-        assert!(w.value().item().abs() < 1e-3);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Non-differentiable tensor operations: activations, reductions, softmax,
-//! top-k, and normalization. These are plain functions over [`Tensor`]s; the
+//! Non-differentiable tensor operations: activations, reductions, softmax
+//! and top-k. These are plain functions over [`Tensor`]s; the
 //! differentiable versions live in [`crate::autograd`].
 
 use crate::shape::Shape;
@@ -102,72 +102,6 @@ impl Activation {
             }
         }
     }
-}
-
-/// Fused `act(x @ w + bias)` in one pass over each output tile: the matmul
-/// epilogue applies the row bias and the activation while the tile is still
-/// hot, instead of re-streaming the output through separate add/map passes.
-///
-/// Bit-identical to the composed path
-/// `x.matmul(w)` → add `bias` row-wise → `map(act)`, because the epilogue
-/// performs the same `+ bias[j]` then `act(·)` per element in the same
-/// order; see the property tests.
-///
-/// # Examples
-///
-/// ```
-/// use ftsim_tensor::{ops, Activation, Tensor};
-///
-/// let x = Tensor::from_rows(&[&[1.0, 2.0]]).unwrap();
-/// let w = Tensor::from_rows(&[&[0.5], &[-1.0]]).unwrap();
-/// let b = Tensor::from_rows(&[&[0.25]]).unwrap();
-/// let y = ops::matmul_bias_act(&x, &w, Some(&b), Activation::Relu).unwrap();
-/// // relu(1.0 * 0.5 + 2.0 * -1.0 + 0.25) = relu(-1.25) = 0.0
-/// assert_eq!(y.data(), &[0.0]);
-/// ```
-///
-/// # Errors
-///
-/// Returns a shape error if the operands are not conforming matrices or the
-/// bias does not hold exactly one element per output column.
-pub fn matmul_bias_act(
-    x: &Tensor,
-    w: &Tensor,
-    bias: Option<&Tensor>,
-    act: Activation,
-) -> Result<Tensor, TensorError> {
-    let Some(out_shape) = x.shape().matmul(w.shape()) else {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul_bias_act",
-            lhs: x.shape().clone(),
-            rhs: w.shape().clone(),
-        });
-    };
-    let (m, k) = x.shape().as_matrix().expect("checked above");
-    let (_, n) = w.shape().as_matrix().expect("checked above");
-    if let Some(b) = bias {
-        if b.numel() != n {
-            return Err(TensorError::ShapeMismatch {
-                op: "matmul_bias_act",
-                lhs: x.shape().clone(),
-                rhs: b.shape().clone(),
-            });
-        }
-    }
-    let _span = ftsim_obs::span("tensor.kernel", "matmul_bias_act");
-    let mut out = Tensor::zeros(out_shape);
-    crate::parallel::matmul_bias_act_into(
-        x.data(),
-        w.data(),
-        bias.map(Tensor::data),
-        act,
-        out.data_mut(),
-        None,
-        m,
-        k,
-        n,
-    );
-    Ok(out)
 }
 
 /// Row-wise numerically-stable softmax of a matrix, fused: one max sweep,
@@ -273,39 +207,6 @@ pub fn argmax(row: &[f32]) -> usize {
         }
     }
     best
-}
-
-/// Root-mean-square layer normalization (as used by Mixtral/BlackMamba),
-/// applied row-wise: `x / sqrt(mean(x^2) + eps) * weight`.
-///
-/// # Errors
-///
-/// Returns a shape error if `x` is not a matrix or `weight` length differs
-/// from the column count.
-pub fn rms_norm_rows(x: &Tensor, weight: &[f32], eps: f32) -> Result<Tensor, TensorError> {
-    let (rows, cols) = x.shape().as_matrix().ok_or_else(|| {
-        TensorError::InvalidArgument(format!(
-            "rms_norm_rows requires a matrix, got {}",
-            x.shape()
-        ))
-    })?;
-    if weight.len() != cols {
-        return Err(TensorError::ShapeMismatch {
-            op: "rms_norm_rows",
-            lhs: x.shape().clone(),
-            rhs: Shape::vector(weight.len()),
-        });
-    }
-    let mut out = Tensor::zeros(Shape::matrix(rows, cols));
-    for r in 0..rows {
-        let row = x.row(r);
-        let ms = row.iter().map(|v| v * v).sum::<f32>() / cols as f32;
-        let inv = 1.0 / (ms + eps).sqrt();
-        for c in 0..cols {
-            out.set2(r, c, row[c] * inv * weight[c]);
-        }
-    }
-    Ok(out)
 }
 
 /// Mean cross-entropy between row-wise `logits` and integer `labels`.
@@ -479,16 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn rms_norm_unit_rows() {
-        let x = Tensor::from_rows(&[&[3.0, 4.0]]).unwrap();
-        let out = rms_norm_rows(&x, &[1.0, 1.0], 0.0).unwrap();
-        // rms = sqrt((9+16)/2) = sqrt(12.5)
-        let rms = 12.5f32.sqrt();
-        assert!((out.get2(0, 0) - 3.0 / rms).abs() < 1e-5);
-        assert!((out.get2(0, 1) - 4.0 / rms).abs() < 1e-5);
-    }
-
-    #[test]
     fn cross_entropy_perfect_prediction_is_small() {
         let logits = Tensor::from_rows(&[&[10.0, 0.0], &[0.0, 10.0]]).unwrap();
         let loss = cross_entropy(&logits, &[0, 1]).unwrap();
@@ -549,45 +440,6 @@ mod tests {
             let logits = Tensor::rand_uniform([rows, cols], 4.0, &mut rng);
             let labels: Vec<usize> = (0..rows).map(|_| rng.gen_range(0..cols)).collect();
             prop_assert!(cross_entropy(&logits, &labels).unwrap() >= 0.0);
-        }
-
-        #[test]
-        fn prop_fused_matmul_bias_act_bit_identical_to_composed(
-            (m, k, n) in (1usize..9, 1usize..80, 1usize..9),
-            act_id in 0usize..5,
-            bias_flag in 0usize..2,
-            seed in 0u64..500,
-        ) {
-            let with_bias = bias_flag == 1;
-            let act = [
-                Activation::Identity,
-                Activation::Relu,
-                Activation::Gelu,
-                Activation::Silu,
-                Activation::Tanh,
-            ][act_id];
-            let mut rng = StdRng::seed_from_u64(seed);
-            let x = Tensor::rand_uniform([m, k], 2.0, &mut rng);
-            let w = Tensor::rand_uniform([k, n], 2.0, &mut rng);
-            let b = Tensor::rand_uniform([1, n], 2.0, &mut rng);
-            let bias = with_bias.then_some(&b);
-
-            let fused = matmul_bias_act(&x, &w, bias, act).unwrap();
-            // Composed reference: matmul, then row bias, then activation map.
-            let mut composed = x.matmul(&w).unwrap();
-            if with_bias {
-                for r in 0..m {
-                    for c in 0..n {
-                        composed.set2(r, c, composed.get2(r, c) + b.get2(0, c));
-                    }
-                }
-            }
-            let composed = composed.map(|v| act.apply(v));
-
-            prop_assert_eq!(fused.shape(), composed.shape());
-            for (a, e) in fused.data().iter().zip(composed.data()) {
-                prop_assert_eq!(a.to_bits(), e.to_bits());
-            }
         }
 
         #[test]

@@ -1,31 +1,33 @@
-//! Thread configuration and the matmul microkernel family.
+//! The process's worker-thread count and the serial matmul microkernel.
 //!
-//! The worker-thread count lives here, in the lowest crate that needs it;
+//! The worker-thread count lives here, in the lowest crate that reads it;
 //! `ftsim-sim` re-exports [`thread_count`], so the whole process resolves
-//! `FTSIM_THREADS` once.
+//! `FTSIM_THREADS` once. The kernels themselves run on the calling thread:
+//! the training shapes are far too small to amortize a thread spawn, so
+//! threads come from `ftsim-sim`'s engine, which fans out whole sweeps and
+//! `moetrain`'s data-parallel microbatches.
 //!
 //! Two kernels live here, both bound by the same accumulation-order
 //! contract (see DESIGN.md "Kernel contracts"):
 //!
 //! * `matmul_naive_into` — the i-p-j oracle (test-only). Slow, obviously
 //!   correct, and the reference every other kernel must match bit-for-bit.
-//! * `matmul_microkernel_into` — the production kernel: cache-blocked
-//!   over the inner dimension and tiled into fixed `MR`×`NR` register
-//!   accumulators (and `R`×`NR`, `R < MR`, for the rows left over). Its
-//!   band tiles and the fused epilogue's bias add dispatch at runtime to
-//!   explicit AVX2 bodies in [`crate::simd`] when the host supports them,
-//!   and the backward epilogue's `db`/`dx`/`dw` sweep to its one body
-//!   compiled for AVX2, with the plain builds as the always-compiled
-//!   fallback (`FTSIM_NO_SIMD=1` forces it).
+//! * `matmul_into` — the production kernel: cache-blocked over the inner
+//!   dimension and tiled into fixed `MR`×`NR` register accumulators (and
+//!   `R`×`NR`, `R < MR`, for the rows left over). Its band tiles and the
+//!   fused epilogue's bias add dispatch at runtime to explicit AVX2 bodies
+//!   in [`crate::simd`] when the host supports them, and the backward
+//!   epilogue's `db`/`dx`/`dw` sweep to its one body compiled for AVX2,
+//!   with the plain builds as the always-compiled fallback
+//!   (`FTSIM_NO_SIMD=1` forces it).
 //!
 //! The contract: every output element accumulates its products in
 //! ascending inner-index (`p`) order, skipping terms whose *lhs* factor is
 //! exactly `0.0`. Because each element's addition sequence is fixed,
-//! results are bit-identical across both kernels, across the scalar
-//! and SIMD bodies (which round identically — see `crate::simd`), and at
-//! every thread count (row partitioning never reorders a single element's
-//! sums). `linear_act_backward_into` extends the same contract to the
-//! fused backward epilogue.
+//! results are bit-identical across both kernels and across the scalar
+//! and SIMD bodies (which round identically — see `crate::simd`).
+//! `linear_act_backward_into` extends the same contract to the fused
+//! backward epilogue.
 
 /// Environment variable overriding the worker-thread count (shared with
 /// `ftsim-sim`'s engine).
@@ -47,18 +49,12 @@ pub(crate) const NR: usize = 8;
 /// spills accumulators, 4 under-uses the register file.
 pub(crate) const MR: usize = 6;
 
-/// Below this many multiply-adds the thread-spawn overhead outweighs the
-/// work; run on the calling thread. The autograd fused backward uses the
-/// same threshold to decide between the streaming epilogue and the
-/// materialized (threadable) matmul path.
-pub(crate) const PARALLEL_FLOP_THRESHOLD: usize = 1 << 20;
-
 /// Worker threads to use: `FTSIM_THREADS` if set to a positive integer,
 /// otherwise the machine's available parallelism.
 ///
 /// Resolved once per process, on first use, and cached: the fallback
 /// (`available_parallelism`) reads cgroup files on Linux, which cost tens of
-/// microseconds a call, and every matmul asks. Setting the variable after
+/// microseconds a call, and every parallel sweep asks. Setting the variable after
 /// the first call has no effect.
 pub fn thread_count() -> usize {
     static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
@@ -107,26 +103,6 @@ pub(crate) fn matmul_naive_into(
             }
         }
     }
-}
-
-/// `out[m×n] = lhs[m×k] @ rhs[k×n]` via the register-tile microkernel
-/// (serial). This is the kernel the crate-internal `matmul_into`
-/// dispatcher drives under threads; the tests compare it against
-/// [`matmul_naive_into`] without thread-count noise. `out` must be
-/// zero-initialized, length `m*n`.
-#[cfg(test)]
-pub(crate) fn matmul_microkernel_into(
-    lhs: &[f32],
-    rhs: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    assert_eq!(lhs.len(), m * k, "lhs length");
-    assert_eq!(rhs.len(), k * n, "rhs length");
-    assert_eq!(out.len(), m * n, "out length");
-    matmul_rows(lhs, rhs, out, 0, k, n);
 }
 
 /// The inner microkernel: walks one `R`-row band (`R ≤ MR`) across all
@@ -182,10 +158,8 @@ fn all_finite(v: &[f32]) -> bool {
     v.iter().fold(true, |ok, x| ok & x.is_finite())
 }
 
-/// `out[m×n] += lhs[m×k] @ rhs[k×n]` for a contiguous block of rows
-/// starting at `row0`, via the register-tile microkernel. `out_rows` holds
-/// exactly the output rows of the block and must hold no `-0.0` (callers
-/// pass it zero-initialized).
+/// `out[m×n] += lhs[m×k] @ rhs[k×n]` via the register-tile microkernel.
+/// `out` must hold no `-0.0` (callers pass it zero-initialized).
 ///
 /// Geometry: for each `K_BLOCK` inner panel, rows are walked in bands of
 /// [`MR`] — the last band takes the 1–5 rows left over, with a tile of its
@@ -205,12 +179,11 @@ fn all_finite(v: &[f32]) -> bool {
 /// leaves every bit alone. So a band runs the branch-free tile when the rhs
 /// is all finite (checked at most once per call) or the band's lhs panels
 /// hold no exact zero, and keeps the per-element skip otherwise.
-fn matmul_rows(lhs: &[f32], rhs: &[f32], out_rows: &mut [f32], row0: usize, k: usize, n: usize) {
-    let rows = out_rows.len() / n.max(1);
+fn matmul_rows(lhs: &[f32], rhs: &[f32], out: &mut [f32], k: usize, n: usize) {
+    let rows = out.len() / n.max(1);
     let mut band = Band {
         lhs,
         rhs,
-        row0,
         k,
         n,
         n_main: n - n % NR,
@@ -224,12 +197,12 @@ fn matmul_rows(lhs: &[f32], rhs: &[f32], out_rows: &mut [f32], row0: usize, k: u
         while i < rows {
             let height = (rows - i).min(MR);
             match height {
-                6 => band.run::<6>(out_rows, i, p0, p1),
-                5 => band.run::<5>(out_rows, i, p0, p1),
-                4 => band.run::<4>(out_rows, i, p0, p1),
-                3 => band.run::<3>(out_rows, i, p0, p1),
-                2 => band.run::<2>(out_rows, i, p0, p1),
-                _ => band.run::<1>(out_rows, i, p0, p1),
+                6 => band.run::<6>(out, i, p0, p1),
+                5 => band.run::<5>(out, i, p0, p1),
+                4 => band.run::<4>(out, i, p0, p1),
+                3 => band.run::<3>(out, i, p0, p1),
+                2 => band.run::<2>(out, i, p0, p1),
+                _ => band.run::<1>(out, i, p0, p1),
             }
             i += height;
         }
@@ -240,7 +213,6 @@ fn matmul_rows(lhs: &[f32], rhs: &[f32], out_rows: &mut [f32], row0: usize, k: u
 struct Band<'a> {
     lhs: &'a [f32],
     rhs: &'a [f32],
-    row0: usize,
     k: usize,
     n: usize,
     n_main: usize,
@@ -251,10 +223,10 @@ struct Band<'a> {
 }
 
 impl Band<'_> {
-    /// One `R`-row band over the K panel `p0..p1`, starting at block row `i`.
+    /// One `R`-row band over the K panel `p0..p1`, starting at row `i`.
     fn run<const R: usize>(&mut self, out_rows: &mut [f32], i: usize, p0: usize, p1: usize) {
         let (lhs, rhs, k, n, n_main) = (self.lhs, self.rhs, self.k, self.n, self.n_main);
-        let base = (self.row0 + i) * k;
+        let base = i * k;
         // Pre-slice each row's K panel so the p loop is bounds-check free.
         let lhs_panels: [&[f32]; R] =
             std::array::from_fn(|r| &lhs[base + r * k + p0..base + r * k + p1]);
@@ -304,26 +276,15 @@ fn record_kernel_dispatch() {
     }
 }
 
-/// Fills `out` (zero-initialized, length `m*n`) with `lhs[m×k] @ rhs[k×n]`,
-/// splitting row blocks across up to [`thread_count`] scoped threads when
-/// the product is large enough to amortize the spawns.
+/// Fills `out` (zero-initialized, length `m*n`) with `lhs[m×k] @ rhs[k×n]`
+/// via the register-tile microkernel.
 pub(crate) fn matmul_into(lhs: &[f32], rhs: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    assert_eq!(lhs.len(), m * k, "lhs length");
+    assert_eq!(rhs.len(), k * n, "rhs length");
+    assert_eq!(out.len(), m * n, "out length");
     let _span = ftsim_obs::span("tensor.kernel", "matmul");
     record_kernel_dispatch();
-    let threads = thread_count().min(m).max(1);
-    let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
-    if threads <= 1 || flops < PARALLEL_FLOP_THRESHOLD {
-        matmul_rows(lhs, rhs, out, 0, k, n);
-        return;
-    }
-    let rows_per_thread = m.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (block, out_rows) in out.chunks_mut(rows_per_thread * n).enumerate() {
-            scope.spawn(move || {
-                matmul_rows(lhs, rhs, out_rows, block * rows_per_thread, k, n);
-            });
-        }
-    });
+    matmul_rows(lhs, rhs, out, k, n);
 }
 
 /// `dst[j] += src[j]`, SIMD-dispatched. Lane-parallel adds touch each
@@ -341,8 +302,8 @@ pub(crate) fn add_assign_slices(dst: &mut [f32], src: &[f32]) {
     }
 }
 
-/// Bias + activation epilogue over a block of freshly-computed matmul output
-/// rows, applied while the tile is still cache-hot: each element becomes
+/// Bias + activation epilogue over freshly-computed matmul output rows,
+/// applied while they are still cache-hot: each element becomes
 /// `act(v + bias[j])`, and the activation's derivative at the post-bias
 /// value, `act'(v + bias[j])`, is optionally saved into `dact_rows` (same
 /// layout as `out_rows`) for the backward pass, so the backward never
@@ -355,7 +316,7 @@ pub(crate) fn add_assign_slices(dst: &mut [f32], src: &[f32]) {
 fn epilogue_rows(
     out_rows: &mut [f32],
     mut dact_rows: Option<&mut [f32]>,
-    bias: Option<&[f32]>,
+    bias: &[f32],
     act: crate::ops::Activation,
     n: usize,
 ) {
@@ -363,10 +324,8 @@ fn epilogue_rows(
         return;
     }
     for (ri, row) in out_rows.chunks_mut(n).enumerate() {
-        if let Some(b) = bias {
-            // Same per-element `v + bias[j]` add the scalar epilogue did.
-            add_assign_slices(row, b);
-        }
+        // Same per-element `v + bias[j]` add the scalar epilogue did.
+        add_assign_slices(row, bias);
         match dact_rows.as_deref_mut() {
             Some(dact) => {
                 for (o, d) in row.iter_mut().zip(&mut dact[ri * n..(ri + 1) * n]) {
@@ -383,19 +342,18 @@ fn epilogue_rows(
 }
 
 /// Fused `out = act(lhs @ rhs + bias)` using the same microkernel matmul as
-/// [`matmul_into`], with the bias/activation epilogue running inside each
-/// worker's row block. `dact`, when given, receives `act'` at each
-/// pre-activation (post-bias) value — the autograd fused node's backward
-/// multiplies the upstream gradient by it.
+/// [`matmul_into`], followed by the bias/activation epilogue. `dact`, when
+/// given, receives `act'` at each pre-activation (post-bias) value — the
+/// autograd fused node's backward multiplies the upstream gradient by it.
 ///
-/// Bit-identical to matmul → row-bias add → elementwise activation at any
-/// thread count: the matmul accumulation order is unchanged and the epilogue
-/// performs the identical per-element `+ bias[j]` then `act(·)`.
+/// Bit-identical to matmul → row-bias add → elementwise activation: the
+/// matmul accumulation order is unchanged and the epilogue performs the
+/// identical per-element `+ bias[j]` then `act(·)`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn matmul_bias_act_into(
     lhs: &[f32],
     rhs: &[f32],
-    bias: Option<&[f32]>,
+    bias: &[f32],
     act: crate::ops::Activation,
     out: &mut [f32],
     dact: Option<&mut [f32]>,
@@ -403,29 +361,13 @@ pub(crate) fn matmul_bias_act_into(
     k: usize,
     n: usize,
 ) {
+    assert_eq!(lhs.len(), m * k, "lhs length");
+    assert_eq!(rhs.len(), k * n, "rhs length");
+    assert_eq!(out.len(), m * n, "out length");
+    assert_eq!(bias.len(), n, "bias length");
     record_kernel_dispatch();
-    let threads = thread_count().min(m).max(1);
-    let flops = 2usize.saturating_mul(m).saturating_mul(n).saturating_mul(k);
-    if threads <= 1 || flops < PARALLEL_FLOP_THRESHOLD {
-        matmul_rows(lhs, rhs, out, 0, k, n);
-        epilogue_rows(out, dact, bias, act, n);
-        return;
-    }
-    let rows_per_thread = m.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let mut dact_rest = dact;
-        for (block, out_rows) in out.chunks_mut(rows_per_thread * n).enumerate() {
-            let dact_rows = dact_rest.take().map(|p| {
-                let (head, tail) = p.split_at_mut(out_rows.len());
-                dact_rest = Some(tail);
-                head
-            });
-            scope.spawn(move || {
-                matmul_rows(lhs, rhs, out_rows, block * rows_per_thread, k, n);
-                epilogue_rows(out_rows, dact_rows, bias, act, n);
-            });
-        }
-    });
+    matmul_rows(lhs, rhs, out, k, n);
+    epilogue_rows(out, dact, bias, act, n);
 }
 
 /// Streaming fused backward epilogue for `y = act(x @ w + b)`.
@@ -454,10 +396,9 @@ pub(crate) fn matmul_bias_act_into(
 /// * `dw[c][j]` accumulates `x[r][c] · dpre[r][j]` in ascending `r`,
 ///   skipping zero `x` factors — the matmul contract with `xᵀ` as lhs.
 ///
-/// All three outputs must be zero-initialized. Serial by design: this is
-/// the small/medium-shape path (the per-step training hot loop); callers
-/// fall back to the materialized matmul path — bit-identical by the above —
-/// when shapes are large enough for row-partitioned threading to win.
+/// All three outputs must be zero-initialized. This is the only backward of
+/// [`crate::Var::linear_act`]: it never builds the `dpre` tensor or the
+/// `xᵀ` copy that materialized `dpre @ wᵀ` / `xᵀ @ dpre` matmuls would.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn linear_act_backward_into(
     up: &[f32],
@@ -700,7 +641,7 @@ mod tests {
             let rhs = pseudo_data(k * n, seed.wrapping_mul(3).wrapping_add(7));
             let expect = naive(&lhs, &rhs, m, k, n);
             let mut micro = vec![0.0f32; m * n];
-            matmul_microkernel_into(&lhs, &rhs, &mut micro, m, k, n);
+            matmul_into(&lhs, &rhs, &mut micro, m, k, n);
             prop_assert!(
                 micro.iter().zip(&expect).all(|(a, b)| a.to_bits() == b.to_bits()),
                 "microkernel diverged at ({},{},{})", m, k, n
@@ -739,7 +680,7 @@ mod tests {
                 for forced in [Some(false), Some(true)] {
                     crate::simd::force(forced);
                     let mut micro = vec![0.0f32; m * n];
-                    matmul_microkernel_into(&lhs, rhs, &mut micro, m, k, n);
+                    matmul_into(&lhs, rhs, &mut micro, m, k, n);
                     crate::simd::force(None);
                     assert!(
                         micro
@@ -780,10 +721,10 @@ mod tests {
             // never invalidate the assertion: every body is bit-identical.
             crate::simd::force(Some(false));
             let mut scalar = vec![0.0f32; m * n];
-            matmul_microkernel_into(&lhs, &rhs, &mut scalar, m, k, n);
+            matmul_into(&lhs, &rhs, &mut scalar, m, k, n);
             crate::simd::force(Some(true));
             let mut simd = vec![0.0f32; m * n];
-            matmul_microkernel_into(&lhs, &rhs, &mut simd, m, k, n);
+            matmul_into(&lhs, &rhs, &mut simd, m, k, n);
             crate::simd::force(None);
             prop_assert!(
                 scalar.iter().zip(&expect).all(|(a, b)| a.to_bits() == b.to_bits()),
@@ -868,17 +809,7 @@ mod tests {
             ] {
                 let mut fused = vec![0.0f32; m * n];
                 let mut dact = vec![0.0f32; m * n];
-                matmul_bias_act_into(
-                    &lhs,
-                    &rhs,
-                    Some(&bias),
-                    act,
-                    &mut fused,
-                    Some(&mut dact),
-                    m,
-                    k,
-                    n,
-                );
+                matmul_bias_act_into(&lhs, &rhs, &bias, act, &mut fused, Some(&mut dact), m, k, n);
                 let mut composed = naive(&lhs, &rhs, m, k, n);
                 for (i, v) in composed.iter_mut().enumerate() {
                     *v += bias[i % n];
@@ -898,77 +829,6 @@ mod tests {
             }
         }
         crate::simd::force(None);
-    }
-
-    #[test]
-    fn fused_row_partitioning_is_bit_identical() {
-        use crate::ops::Activation;
-        // Simulate the parallel split by running the serial fused kernel on
-        // disjoint row chunks, exactly as matmul_bias_act_into's workers do.
-        let (m, k, n) = (23, 80, 17);
-        let lhs = pseudo_data(m * k, 31);
-        let rhs = pseudo_data(k * n, 37);
-        let bias = pseudo_data(n, 41);
-        let mut reference = vec![0.0f32; m * n];
-        let mut ref_dact = vec![0.0f32; m * n];
-        matmul_bias_act_into(
-            &lhs,
-            &rhs,
-            Some(&bias),
-            Activation::Gelu,
-            &mut reference,
-            Some(&mut ref_dact),
-            m,
-            k,
-            n,
-        );
-        for workers in [2, 5] {
-            let rows_per = m.div_ceil(workers);
-            let mut out = vec![0.0f32; m * n];
-            let mut dact = vec![0.0f32; m * n];
-            for ((block, chunk), dact_chunk) in out
-                .chunks_mut(rows_per * n)
-                .enumerate()
-                .zip(dact.chunks_mut(rows_per * n))
-            {
-                matmul_rows(&lhs, &rhs, chunk, block * rows_per, k, n);
-                epilogue_rows(chunk, Some(dact_chunk), Some(&bias), Activation::Gelu, n);
-            }
-            assert!(
-                out.iter()
-                    .zip(&reference)
-                    .all(|(a, b)| a.to_bits() == b.to_bits())
-                    && dact
-                        .iter()
-                        .zip(&ref_dact)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "{workers}-way fused split diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn row_partitioning_is_bit_identical() {
-        // Simulate the parallel split at several worker counts by calling
-        // the row-block kernel directly on disjoint chunks.
-        let (m, k, n) = (37, 96, 29);
-        let lhs = sparse_data(m * k, 5);
-        let rhs = pseudo_data(k * n, 9);
-        let mut reference = vec![0.0f32; m * n];
-        matmul_rows(&lhs, &rhs, &mut reference, 0, k, n);
-        for workers in [2, 3, 8] {
-            let rows_per = m.div_ceil(workers);
-            let mut out = vec![0.0f32; m * n];
-            for (block, chunk) in out.chunks_mut(rows_per * n).enumerate() {
-                matmul_rows(&lhs, &rhs, chunk, block * rows_per, k, n);
-            }
-            assert!(
-                out.iter()
-                    .zip(&reference)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "{workers}-way split diverged"
-            );
-        }
     }
 
     /// Composed reference for the fused backward epilogue: materialize dpre,

@@ -160,27 +160,6 @@ impl Tensor {
         Tensor { shape, data }
     }
 
-    /// A matrix with approximately normal entries (`mean = 0`, `std = std`),
-    /// using a 12-uniform-sum approximation (adequate for initialization).
-    pub fn rand_normal(shape: impl Into<Shape>, std: f32, rng: &mut impl Rng) -> Self {
-        let shape = shape.into();
-        let mut data = buffer(shape.numel());
-        data.extend((0..shape.numel()).map(|_| {
-            let s: f32 = (0..12).map(|_| rng.gen_range(0.0..1.0f32)).sum();
-            (s - 6.0) * std
-        }));
-        Tensor { shape, data }
-    }
-
-    /// The identity matrix of size `n`.
-    pub fn eye(n: usize) -> Self {
-        let mut t = Tensor::zeros(Shape::matrix(n, n));
-        for i in 0..n {
-            t.data[i * n + i] = 1.0;
-        }
-        t
-    }
-
     /// The tensor's shape.
     pub fn shape(&self) -> &Shape {
         &self.shape
@@ -396,11 +375,10 @@ impl Tensor {
     /// Matrix product `self @ rhs`.
     ///
     /// Uses the register-tiled microkernel (6×8 accumulator tiles over
-    /// cache-sized K panels), row-partitioned across scoped threads for
-    /// large products (see [`crate::parallel`]; thread count from
-    /// `FTSIM_THREADS`). Each output element accumulates in the same
-    /// ascending-inner-index order at any tile shape and thread count, so
-    /// results are bit-identical to the serial naive oracle.
+    /// cache-sized K panels, see [`crate::parallel`]) on the calling
+    /// thread. Each output element accumulates in the same
+    /// ascending-inner-index order at any tile shape, so results are
+    /// bit-identical to the naive oracle.
     ///
     /// # Errors
     ///
@@ -421,15 +399,12 @@ impl Tensor {
         Ok(out)
     }
 
-    /// Frobenius norm (`sqrt` of the sum of squares).
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
-
-    /// `true` if every pair of elements differs by at most `tol`.
+    /// `true` if every pair of elements differs by at most `tol`; the
+    /// tests' tolerance comparison.
     ///
     /// Returns `false` when shapes differ.
-    pub fn allclose(&self, other: &Tensor, tol: f32) -> bool {
+    #[cfg(test)]
+    pub(crate) fn allclose(&self, other: &Tensor, tol: f32) -> bool {
         self.shape == other.shape
             && self
                 .data
@@ -461,6 +436,15 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The identity matrix of size `n`.
+    fn eye(n: usize) -> Tensor {
+        let mut t = Tensor::zeros(Shape::matrix(n, n));
+        for i in 0..n {
+            t.data[i * n + i] = 1.0;
+        }
+        t
+    }
+
     #[test]
     fn new_rejects_wrong_length() {
         let err = Tensor::new([2, 2], vec![1.0; 3]).unwrap_err();
@@ -476,7 +460,7 @@ mod tests {
     #[test]
     fn matmul_identity_is_noop() {
         let a = Tensor::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
-        let i = Tensor::eye(3);
+        let i = eye(3);
         assert!(a.matmul(&i).unwrap().allclose(&a, 1e-6));
     }
 
@@ -538,16 +522,6 @@ mod tests {
         assert_eq!(t.sum(), 3.0);
         assert_eq!(t.mean(), 1.0);
         assert_eq!(t.max(), Some(4.0));
-        assert!((t.frobenius_norm() - (21.0f32).sqrt()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn rand_normal_has_sane_moments() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let t = Tensor::rand_normal([100, 100], 1.0, &mut rng);
-        assert!(t.mean().abs() < 0.05, "mean {}", t.mean());
-        let var = t.data().iter().map(|x| x * x).sum::<f32>() / t.numel() as f32;
-        assert!((var - 1.0).abs() < 0.1, "var {var}");
     }
 
     proptest! {
@@ -555,7 +529,7 @@ mod tests {
         fn prop_matmul_identity(rows in 1usize..6, cols in 1usize..6, seed in 0u64..1000) {
             let mut rng = StdRng::seed_from_u64(seed);
             let a = Tensor::rand_uniform([rows, cols], 2.0, &mut rng);
-            let id = Tensor::eye(cols);
+            let id = eye(cols);
             prop_assert!(a.matmul(&id).unwrap().allclose(&a, 1e-4));
         }
 

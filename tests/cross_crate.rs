@@ -3,7 +3,7 @@
 use ftsim::gpu::{CostModel, GpuSpec};
 use ftsim::model::{presets, FineTuneConfig};
 use ftsim::sim::StepSimulator;
-use ftsim::tensor::{Quantized4Bit, Tensor, Var};
+use ftsim::tensor::{Tensor, Var};
 
 /// Simulated traces are deterministic: same inputs, identical output.
 #[test]
@@ -52,28 +52,13 @@ fn params_and_flops_agree_across_crates() {
     }
 }
 
-/// The tensor crate's quantizer agrees with the model crate's byte
-/// accounting for NF4 storage.
-#[test]
-fn quantizer_matches_memory_accounting() {
-    let per_elem = Quantized4Bit::bytes_per_element(64);
-    let dtype = ftsim::model::Dtype::Nf4.bytes_per_param();
-    assert!((per_elem - dtype).abs() < 1e-9);
-
-    let weights: Vec<f32> = (0..4096)
-        .map(|i| ((i as f32) * 0.01).sin() * 0.02)
-        .collect();
-    let q = Quantized4Bit::quantize(&weights, 64).expect("valid block");
-    let actual = q.storage_bytes() as f64 / weights.len() as f64;
-    assert!((actual - per_elem).abs() < 1e-9);
-}
-
 /// Autograd gradients drive real optimization through the facade path.
 #[test]
 fn facade_autograd_smoke() {
     let w = Var::parameter(Tensor::scalar(4.0));
-    let opt = ftsim::tensor::nn::Sgd::new(0.1);
-    for _ in 0..50 {
+    let mut opt = ftsim::tensor::nn::AdamW::new(0.3, 1);
+    opt.weight_decay = 0.0;
+    for _ in 0..200 {
         let loss = w.mul(&w).expect("same shape").mean();
         loss.backward();
         opt.step(std::slice::from_ref(&w));
